@@ -150,7 +150,9 @@ impl RandomProjectionEncoder {
     ///
     /// Returns an error if `features` is not `[m, n]`.
     pub fn encode_batch(&self, features: &Tensor) -> Result<Tensor> {
-        Ok(self.project_batch(features)?.sign_pm1())
+        let mut encoded = self.project_batch(features)?;
+        sign_pm1_in_place(&mut encoded);
+        Ok(encoded)
     }
 
     /// [`RandomProjectionEncoder::encode_batch`] with telemetry: wraps the
@@ -166,14 +168,14 @@ impl RandomProjectionEncoder {
         tel: &fhdnn_telemetry::Recorder,
     ) -> Result<Tensor> {
         let _span = tel.span("hdc.encode");
-        let projected = {
+        let mut encoded = {
             let _span = tel.span("hdc.project");
             self.project_batch(features)?
         };
-        let encoded = {
+        {
             let _span = tel.span("hdc.sign");
-            projected.sign_pm1()
-        };
+            sign_pm1_in_place(&mut encoded);
+        }
         tel.incr("hdc.encoded_vectors", encoded.dims()[0] as u64);
         Ok(encoded)
     }
@@ -224,6 +226,11 @@ impl RandomProjectionEncoder {
     }
 }
 
+/// [`Tensor::sign_pm1`] without the second `[m, d]` tensor.
+fn sign_pm1_in_place(projection: &mut Tensor) {
+    projection.map_assign(|x| if x >= 0.0 { 1.0 } else { -1.0 });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,6 +262,31 @@ mod tests {
         assert_eq!(h.as_slice(), enc.encode_batch(&z).unwrap().as_slice());
         assert_eq!(tel.counter_value("hdc.encoded_vectors"), 2);
         assert_eq!(tel.span_stat("hdc.encode").count, 1);
+    }
+
+    #[test]
+    fn wide_encode_is_the_sign_of_the_sequential_projection() {
+        // The paper's d = 10 000 over ISOLET's 617 features. Nine samples
+        // make one full panel of the blocked matmul and one single row.
+        let enc = RandomProjectionEncoder::new(10_000, 617, 11).unwrap();
+        let z = Tensor::randn(&[9, 617], 1.0, &mut StdRng::seed_from_u64(12));
+        let projected = enc.project_batch(&z).unwrap();
+        let encoded = enc.encode_batch(&z).unwrap();
+        for i in 0..9 {
+            let sample = z.row(i).unwrap();
+            for j in 0..10_000 {
+                let direction = enc.phi().row(j).unwrap();
+                let dot: f32 = sample.iter().zip(direction).map(|(x, y)| x * y).sum();
+                let at = i * 10_000 + j;
+                assert_eq!(
+                    projected.as_slice()[at].to_bits(),
+                    dot.to_bits(),
+                    "[{i}, {j}]"
+                );
+                let sign = if dot >= 0.0 { 1.0 } else { -1.0 };
+                assert_eq!(encoded.as_slice()[at], sign, "[{i}, {j}]");
+            }
+        }
     }
 
     #[test]

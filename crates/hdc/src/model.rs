@@ -125,9 +125,9 @@ impl HdModel {
     pub fn one_shot_train(&mut self, hypervectors: &Tensor, labels: &[usize]) -> Result<()> {
         self.check_batch(hypervectors, labels)?;
         for (i, &label) in labels.iter().enumerate() {
-            let h = hypervectors.row(i)?.to_vec();
+            let h = hypervectors.row(i)?;
             let proto = self.prototypes.row_mut(label)?;
-            for (p, v) in proto.iter_mut().zip(h) {
+            for (p, &v) in proto.iter_mut().zip(h) {
                 *p += v;
             }
         }
@@ -146,17 +146,17 @@ impl HdModel {
         self.check_batch(hypervectors, labels)?;
         let mut updates = 0;
         for (i, &label) in labels.iter().enumerate() {
-            let h = hypervectors.row(i)?.to_vec();
-            let pred = self.predict_slice(&h)?;
+            let h = hypervectors.row(i)?;
+            let pred = self.predict_slice(h)?;
             if pred != label {
                 {
                     let wrong = self.prototypes.row_mut(pred)?;
-                    for (p, &v) in wrong.iter_mut().zip(&h) {
+                    for (p, &v) in wrong.iter_mut().zip(h) {
                         *p -= v;
                     }
                 }
                 let right = self.prototypes.row_mut(label)?;
-                for (p, &v) in right.iter_mut().zip(&h) {
+                for (p, &v) in right.iter_mut().zip(h) {
                     *p += v;
                 }
                 updates += 1;
@@ -193,8 +193,8 @@ impl HdModel {
         self.check_batch(hypervectors, labels)?;
         let mut updates = 0;
         for (i, &label) in labels.iter().enumerate() {
-            let h = hypervectors.row(i)?.to_vec();
-            let sims = self.similarities_slice(&h)?;
+            let h = hypervectors.row(i)?;
+            let sims = self.similarities_slice(h)?;
             let pred = sims
                 .iter()
                 .enumerate()
@@ -206,12 +206,12 @@ impl HdModel {
                 let w_pred = lr * (1.0 - sims[pred]);
                 {
                     let wrong = self.prototypes.row_mut(pred)?;
-                    for (p, &v) in wrong.iter_mut().zip(&h) {
+                    for (p, &v) in wrong.iter_mut().zip(h) {
                         *p -= w_pred * v;
                     }
                 }
                 let right = self.prototypes.row_mut(label)?;
-                for (p, &v) in right.iter_mut().zip(&h) {
+                for (p, &v) in right.iter_mut().zip(h) {
                     *p += w_true * v;
                 }
                 updates += 1;

@@ -1,10 +1,144 @@
 //! Matrix multiplication and related rank-2 linear algebra.
 //!
-//! The matmul kernel is a cache-friendly `i-k-j` triple loop — deliberately
-//! simple, `forbid(unsafe)`, and fast enough for the laptop-scale CNNs and
-//! random-projection encoders this reproduction trains.
+//! [`Tensor::matmul_nt`] is the one kernel under `sign(Φz)` encoding, the
+//! conv (im2col · Wᵀ) and linear forward passes and HD similarity. It is a
+//! packed, register-blocked GEMM in safe portable Rust. The operand with
+//! fewer rows is interleaved, `MC` rows at a time, into `[k][MR]` panels;
+//! the other is read in place, `NR` rows at a time, once per `MC` packed
+//! rows; and an `MR × NR` micro-kernel keeps one accumulator per output
+//! in registers. For the encoder that packs the feature batch and streams
+//! Φ once; for a convolution it packs the filters and streams the im2col
+//! buffer once. The only scratch is the `min(m, n, MC) × k` panel buffer.
+//!
+//! **Reduction-order contract.** Every output `out[i][j]` is one chain
+//! `((-0.0 + a[i][0]·b[j][0]) + a[i][1]·b[j][1]) + …` in ascending `k`,
+//! a rounded multiply then a rounded add — exactly what
+//! `a_row.iter().zip(b_row).map(|(x, y)| x * y).sum()` computes (`-0.0`
+//! is where `f32`'s `Sum` starts). The kernel vectorises *across*
+//! outputs, never *within* a dot product, so the result is bit-identical
+//! for every shape and on every target (up to which NaN payload a NaN
+//! output carries, which Rust leaves unspecified); there is no FMA, no
+//! split `k` sum, no dispatch and therefore nothing for a SIMD/scalar
+//! parity suite to compare. The tests below hold it to the naive loop bit
+//! for bit.
+//!
+//! [`Tensor::matmul`] and [`Tensor::matmul_tn`] are lane-parallel axpy
+//! loops whose zero-skip matters for non-finite inputs; they are left as
+//! they are.
 
 use crate::{Result, Tensor, TensorError};
+
+/// Rows per packed panel: the lanes the micro-kernel vectorises over (two
+/// 4-lane registers on the x86-64 and aarch64 baselines).
+const MR: usize = 8;
+/// Streamed rows per register tile: `MR × NR` accumulators fill 8 of the
+/// 16 baseline vector registers, leaving room for the panel column and the
+/// broadcast values.
+const NR: usize = 4;
+/// Rows packed at a time. Bounds the scratch at `MC × k` floats (an
+/// L2-sized block at the encoder's `k = 617`) and sets how often the other
+/// operand is re-read: once per `MC` packed rows.
+const MC: usize = 64;
+
+/// `out[p · lane_stride + s · row_stride] = Σ_q lanes[p][q] · streamed[s][q]`
+/// for row-major `lanes: [_, k]` and `streamed: [_, k]`, `k > 0`.
+///
+/// `lanes` is packed and vectorised over, `streamed` is read in place.
+/// Which operand of `matmul_nt` plays which part changes the work, not
+/// the result: every output is the same chain over `q` either way.
+fn gemm_nt(
+    lanes: &[f32],
+    streamed: &[f32],
+    k: usize,
+    out: &mut [f32],
+    lane_stride: usize,
+    row_stride: usize,
+) {
+    let lane_count = lanes.len() / k;
+    let mut packed = vec![0.0f32; MC.min(lane_count).next_multiple_of(MR) * k];
+    for (block, lane_block) in lanes.chunks(MC * k).enumerate() {
+        let panels = &mut packed[..(lane_block.len() / k).next_multiple_of(MR) * k];
+        for (src, panel) in lane_block
+            .chunks(MR * k)
+            .zip(panels.chunks_exact_mut(MR * k))
+        {
+            pack_panel(src, k, panel);
+        }
+        for (group, row_group) in streamed.chunks(NR * k).enumerate() {
+            // A short last group repeats its first row: the tile computes
+            // those sums and stores only the real ones.
+            let mut rows = [&row_group[..k]; NR];
+            for (slot, row) in rows.iter_mut().zip(row_group.chunks_exact(k)) {
+                *slot = row;
+            }
+            let live_rows = row_group.len() / k;
+            for (index, panel) in panels.chunks_exact(MR * k).enumerate() {
+                let lane0 = block * MC + index * MR;
+                let live_lanes = (lane_count - lane0).min(MR);
+                let tile_out = &mut out[lane0 * lane_stride + group * NR * row_stride..];
+                let strides = (lane_stride, row_stride);
+                // A short last panel runs the same kernel over as few lanes
+                // as hold it, so a single row costs one lane, not eight.
+                match live_lanes {
+                    1 => tile::<1>(panel, rows, tile_out, strides, live_lanes, live_rows),
+                    2..=4 => tile::<4>(panel, rows, tile_out, strides, live_lanes, live_rows),
+                    _ => tile::<MR>(panel, rows, tile_out, strides, live_lanes, live_rows),
+                }
+            }
+        }
+    }
+}
+
+/// Interleaves up to `MR` rows of `k` values into a `[k][MR]` panel. Lanes
+/// past the last row keep what they held: their sums are never stored.
+fn pack_panel(rows: &[f32], k: usize, panel: &mut [f32]) {
+    let (columns, _) = panel.as_chunks_mut::<MR>();
+    for (lane, row) in rows.chunks_exact(k).enumerate() {
+        for (column, &value) in columns.iter_mut().zip(row) {
+            column[lane] = value;
+        }
+    }
+}
+
+/// Runs the micro-kernel over the first `L` lanes of one panel against
+/// `NR` streamed rows and stores the `live_lanes × live_rows` real sums at
+/// the given `(lane, row)` strides.
+fn tile<const L: usize>(
+    panel: &[f32],
+    rows: [&[f32]; NR],
+    out: &mut [f32],
+    (lane_stride, row_stride): (usize, usize),
+    live_lanes: usize,
+    live_rows: usize,
+) {
+    let acc = micro_kernel::<L>(panel.as_chunks::<MR>().0, rows);
+    for (row, acc_row) in acc.iter().enumerate().take(live_rows) {
+        for (lane, &sum) in acc_row.iter().enumerate().take(live_lanes) {
+            out[lane * lane_stride + row * row_stride] = sum;
+        }
+    }
+}
+
+/// `acc[s][p] = Σ_q panel[q][p] · rows[s][q]`: `L × NR` independent
+/// chains, each ascending in `q` from `-0.0` with a separate multiply and
+/// add. The two inner loops have constant trip counts and unroll into
+/// `NR` broadcast-multiply-adds over the panel column.
+///
+/// Out of line so that its code does not depend on the caller: inlined
+/// next to the strided store it was seen to compile to scalar code.
+#[inline(never)]
+fn micro_kernel<const L: usize>(panel: &[[f32; MR]], rows: [&[f32]; NR]) -> [[f32; L]; NR] {
+    let mut acc = [[-0.0f32; L]; NR];
+    let [r0, r1, r2, r3] = rows;
+    for ((((column, &x0), &x1), &x2), &x3) in panel.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+        for (acc_row, x) in acc.iter_mut().zip([x0, x1, x2, x3]) {
+            for (sum, &lane) in acc_row.iter_mut().zip(column) {
+                *sum += lane * x;
+            }
+        }
+    }
+    acc
+}
 
 impl Tensor {
     fn as_matrix(&self) -> Result<(usize, usize)> {
@@ -90,7 +224,10 @@ impl Tensor {
     /// `self * other^T`: `[m, k] x [n, k]^T -> [m, n]`.
     ///
     /// Used by linear-layer input gradients (`dy · W`) when the weight is
-    /// stored `[out, in]`, and by HD similarity against a prototype matrix.
+    /// stored `[out, in]`, by the conv and linear forward passes, by the
+    /// random-projection encoder and by HD similarity against a prototype
+    /// matrix. Each output is the sequential `f32` sum of its products in
+    /// ascending `k` (see the [module docs](self) for the contract).
     ///
     /// # Errors
     ///
@@ -104,15 +241,18 @@ impl Tensor {
                 rhs: [k2, n],
             });
         }
-        let a = self.as_slice();
-        let b = other.as_slice();
+        if k == 0 {
+            // The empty sum.
+            return Tensor::from_vec(vec![-0.0; m * n], &[m, n]);
+        }
+        let (a, b) = (self.as_slice(), other.as_slice());
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &b[j * k..(j + 1) * k];
-                out[i * n + j] = a_row.iter().zip(b_row).map(|(x, y)| x * y).sum();
-            }
+        // Pack whichever operand has fewer rows: less to interleave, less
+        // scratch, and the larger one is then read once per `MC` of them.
+        if n < m {
+            gemm_nt(b, a, k, &mut out, 1, n);
+        } else {
+            gemm_nt(a, b, k, &mut out, n, 1);
         }
         Tensor::from_vec(out, &[m, n])
     }
@@ -187,6 +327,8 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn m(data: &[f32], r: usize, c: usize) -> Tensor {
         Tensor::from_vec(data.to_vec(), &[r, c]).unwrap()
@@ -229,6 +371,95 @@ mod tests {
         let b = m(&[5.0, 6.0, 7.0, 8.0], 2, 2);
         let expect = a.matmul(&b.transpose().unwrap()).unwrap();
         assert_eq!(a.matmul_nt(&b).unwrap(), expect);
+    }
+
+    /// The loop `matmul_nt` was before it was blocked, kept as the
+    /// reference: one sequential `.sum()` per output.
+    fn naive_nt(a: &Tensor, b: &Tensor) -> Vec<f32> {
+        let (m, k) = (a.dims()[0], a.dims()[1]);
+        let n = b.dims()[0];
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let a_row = &a[i * k..(i + 1) * k];
+            for j in 0..n {
+                let b_row = &b[j * k..(j + 1) * k];
+                out[i * n + j] = a_row.iter().zip(b_row).map(|(x, y)| x * y).sum();
+            }
+        }
+        out
+    }
+
+    /// Normal draws (so any other association of a sum rounds
+    /// differently); with `specials`, one value in sixteen is a signed
+    /// zero, a subnormal, an infinity or a NaN.
+    fn fill(rows: usize, cols: usize, rng: &mut StdRng, specials: bool) -> Tensor {
+        const SPECIALS: [f32; 7] = [
+            0.0,
+            -0.0,
+            1.0e-41,
+            -1.0e-41,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut t = Tensor::randn(&[rows, cols], 30.0, rng);
+        if specials {
+            for x in t.as_mut_slice() {
+                if rng.gen_range(0..16) == 0 {
+                    *x = SPECIALS[rng.gen_range(0..SPECIALS.len())];
+                }
+            }
+        }
+        t
+    }
+
+    fn assert_bit_identical(a: &Tensor, b: &Tensor) {
+        let got = a.matmul_nt(b).unwrap();
+        let want = naive_nt(a, b);
+        assert_eq!(got.dims(), &[a.dims()[0], b.dims()[0]]);
+        for (at, (g, w)) in got.as_slice().iter().zip(&want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{:?} x {:?}^T differs at {at}: {g:e} ({:#010x}) vs naive {w:e} ({:#010x})",
+                a.dims(),
+                b.dims(),
+                g.to_bits(),
+                w.to_bits(),
+            );
+        }
+    }
+
+    #[test]
+    fn matmul_nt_is_bit_identical_to_the_sequential_sum_at_every_blocking_edge() {
+        let mut edges = vec![0, 1, 2 * MC + 3];
+        for block in [MR, NR, MC] {
+            edges.extend([block - 1, block, block + 1]);
+        }
+        edges.sort_unstable();
+        edges.dedup();
+        let mut rng = StdRng::seed_from_u64(13);
+        for &m in &edges {
+            for &n in &edges {
+                for &k in &edges {
+                    for specials in [false, true] {
+                        let a = fill(m, k, &mut rng, specials);
+                        let b = fill(n, k, &mut rng, specials);
+                        assert_bit_identical(&a, &b);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_nt_is_bit_identical_on_the_encoder_shape() {
+        // One client of the paper's ISOLET set-up: 26 samples, 617
+        // features, d = 10 000.
+        let mut rng = StdRng::seed_from_u64(617);
+        let a = fill(26, 617, &mut rng, false);
+        let phi = fill(10_000, 617, &mut rng, false);
+        assert_bit_identical(&a, &phi);
     }
 
     #[test]
