@@ -57,6 +57,14 @@ pub fn kernel_benches() -> Vec<Bench> {
             run: bench_hdc_quantize,
         },
         Bench {
+            name: "hdc.refine",
+            run: bench_hdc_refine,
+        },
+        Bench {
+            name: "hdc.refine_churn",
+            run: bench_hdc_refine_churn,
+        },
+        Bench {
             name: "hdc.pack",
             run: bench_hdc_pack,
         },
@@ -170,6 +178,61 @@ fn bench_hdc_quantize(cfg: &BenchConfig) -> BenchResult {
     let model = random_model(10, 2048, 20);
     run_bench("hdc.quantize", cfg, 200, (10 * 2048) as f64, || {
         black_box(quantize(&model, 4).expect("quantize"));
+    })
+}
+
+/// Shared fixture for the refine pair, at the campaign's dense shape:
+/// 256 bipolar samples at d = 4096 and the 10-class model one-shot
+/// trained on them.
+fn refine_fixture() -> (HdModel, Tensor, Vec<usize>) {
+    const CLASSES: usize = 10;
+    const DIM: usize = 4096;
+    const SAMPLES: usize = 256;
+    let mut rng = StdRng::seed_from_u64(70);
+    let values: Vec<f32> = (0..SAMPLES * DIM)
+        .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+        .collect();
+    let samples = Tensor::from_vec(values, &[SAMPLES, DIM]).expect("refine samples");
+    let labels: Vec<usize> = (0..SAMPLES).map(|_| rng.gen_range(0..CLASSES)).collect();
+    let mut model = HdModel::new(CLASSES, DIM).expect("refine model");
+    model.one_shot_train(&samples, &labels).expect("one-shot");
+    (model, samples, labels)
+}
+
+/// For each sample in turn, the class after the one a refine epoch from
+/// `start` predicts on reaching it: with these labels every visit
+/// updates two prototypes and everything scored ahead of it has to be
+/// scored again.
+fn wrong_labels(start: &HdModel, samples: &Tensor) -> Vec<usize> {
+    let mut walk = start.clone();
+    (0..samples.dims()[0])
+        .map(|i| {
+            let row = samples.row(i).expect("row").to_vec();
+            let one = Tensor::from_vec(row, &[1, start.dim()]).expect("one sample");
+            let predicted = walk.predict_batch(&one).expect("predict")[0];
+            let label = (predicted + 1) % start.num_classes();
+            walk.refine_epoch(&one, &[label]).expect("walk");
+            label
+        })
+        .collect()
+}
+
+fn bench_hdc_refine(cfg: &BenchConfig) -> BenchResult {
+    // The common case: a converged model, every visit a correct
+    // prediction, no update.
+    let (mut model, samples, labels) = refine_fixture();
+    run_bench("hdc.refine", cfg, 10, labels.len() as f64, || {
+        black_box(model.refine_epoch(&samples, &labels).expect("refine"));
+    })
+}
+
+fn bench_hdc_refine_churn(cfg: &BenchConfig) -> BenchResult {
+    // The worst case: every visit mispredicts.
+    let (start, samples, _) = refine_fixture();
+    let wrong = wrong_labels(&start, &samples);
+    run_bench("hdc.refine_churn", cfg, 10, wrong.len() as f64, || {
+        let mut model = start.clone();
+        black_box(model.refine_epoch(&samples, &wrong).expect("refine"));
     })
 }
 
@@ -415,6 +478,15 @@ mod tests {
         assert_eq!(names.len(), total, "duplicate bench names");
         assert!(names.contains(&"tensor.matmul"));
         assert!(names.contains(&"round.fedhd_float"));
+    }
+
+    #[test]
+    fn refine_fixtures_sit_at_the_two_ends() {
+        let (mut model, samples, labels) = refine_fixture();
+        let wrong = wrong_labels(&model, &samples);
+        let mut churned = model.clone();
+        assert_eq!(churned.refine_epoch(&samples, &wrong).unwrap(), wrong.len());
+        assert_eq!(model.refine_epoch(&samples, &labels).unwrap(), 0);
     }
 
     #[test]

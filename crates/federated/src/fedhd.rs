@@ -27,7 +27,7 @@ use fhdnn_hdc::model::HdModel;
 use fhdnn_hdc::packed::{
     pack_signs_i32, reference::ReferenceHdModel, words_for, PackedBatch, PackedHdModel, WORD_BITS,
 };
-use fhdnn_hdc::quantizer::{dequantize, quantize};
+use fhdnn_hdc::quantizer::{dequantize_into, quantize};
 use fhdnn_telemetry::alert::{emit_alerts, AlertEngine};
 use fhdnn_telemetry::registry::EVENT_TRACE_ROUND;
 use fhdnn_telemetry::task::TaskBuffer;
@@ -471,7 +471,7 @@ impl HdFederation {
                     channel.transmit_words_stats(&mut q.words, bitwidth, rng, stats);
                     buf.end(span);
                 }
-                *model = dequantize(&q)?;
+                dequantize_into(&q, model)?;
             }
             HdTransport::Binary => {
                 // Binary rounds never reach the dense worker: `run_round`

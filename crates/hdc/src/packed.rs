@@ -341,7 +341,7 @@ impl PackedHdModel {
     /// Predicts the class of one packed hypervector: the argmax of
     /// `dot(sign(c_k), h) = dim − 2·popcount(packed_k ⊕ h)` with
     /// first-max tie-breaking (the same `>` rule as
-    /// `HdModel::predict_slice`).
+    /// [`HdModel::refine_epoch`](crate::model::HdModel::refine_epoch)).
     #[must_use]
     pub fn predict_packed(&self, h: &[u64]) -> usize {
         let mut best = (i64::MIN, 0usize);

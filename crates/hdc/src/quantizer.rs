@@ -70,11 +70,10 @@ pub fn quantize(model: &HdModel, bitwidth: u32) -> Result<QuantizedModel> {
             max_word
         };
         gains.push(gain);
-        for &v in row {
-            // "Rounding: the scaled up values are truncated to only retain
-            // their integer part."
-            words.push((v * gain).trunc() as i64);
-        }
+        // "Rounding: the scaled up values are truncated to only retain
+        // their integer part." The cast is that truncation: toward zero,
+        // saturating, NaN to 0.
+        words.extend(row.iter().map(|&v| (v * gain) as i64));
     }
     Ok(QuantizedModel {
         words,
@@ -124,21 +123,44 @@ pub fn quantize_instrumented(
 /// Returns [`HdcError::InvalidArgument`] if the word/gain counts are
 /// inconsistent.
 pub fn dequantize(q: &QuantizedModel) -> Result<HdModel> {
-    if q.words.len() != q.num_classes * q.dim || q.gains.len() != q.num_classes {
+    // Checked here too, before allocating for the shape `q` claims.
+    if q.words.len() != q.num_classes * q.dim {
         return Err(HdcError::InvalidArgument(
             "quantized model fields inconsistent".into(),
         ));
     }
     let mut model = HdModel::new(q.num_classes, q.dim)?;
-    for class in 0..q.num_classes {
-        let gain = q.gains[class];
-        let row = model.prototypes_mut().row_mut(class)?;
-        for (j, p) in row.iter_mut().enumerate() {
-            let w = q.words[class * q.dim + j] as f32;
-            *p = if gain != 0.0 { w / gain } else { 0.0 };
+    dequantize_into(q, &mut model)?;
+    Ok(model)
+}
+
+/// [`dequantize`] over the prototypes of an existing model of the same
+/// shape — the sender's own, once its words are on the wire.
+///
+/// # Errors
+///
+/// Returns [`HdcError::InvalidArgument`] if the word/gain counts are
+/// inconsistent or `model` is not `[q.num_classes, q.dim]`.
+pub fn dequantize_into(q: &QuantizedModel, model: &mut HdModel) -> Result<()> {
+    if q.words.len() != q.num_classes * q.dim
+        || q.gains.len() != q.num_classes
+        || (model.num_classes(), model.dim()) != (q.num_classes, q.dim)
+    {
+        return Err(HdcError::InvalidArgument(
+            "quantized model fields inconsistent".into(),
+        ));
+    }
+    let rows = model.prototypes_mut().as_mut_slice();
+    for ((row, words), &gain) in rows
+        .chunks_exact_mut(q.dim)
+        .zip(q.words.chunks_exact(q.dim))
+        .zip(&q.gains)
+    {
+        for (p, &w) in row.iter_mut().zip(words) {
+            *p = if gain != 0.0 { w as f32 / gain } else { 0.0 };
         }
     }
-    Ok(model)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -218,6 +240,59 @@ mod tests {
             corrupted <= 2.0 * max_before,
             "corrupted value {corrupted} stays within the AGC dynamic range"
         );
+    }
+
+    #[test]
+    fn the_cast_alone_truncates_like_trunc_then_cast() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1.0e-41,
+            -1.0e-41,
+            0.999_999_94,
+            -0.999_999_94,
+            2_147_483_648.0,
+            -2_147_483_648.0,
+            9_223_372_036_854_775_808.0,
+            -9_223_372_036_854_775_808.0,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let mut rng = StdRng::seed_from_u64(14);
+        values.extend((0..4096).map(|_| f32::from_bits(rng.gen())));
+        values.extend((0..4096).map(|_| rng.gen_range(-300.0f32..300.0)));
+        for &v in &values {
+            assert_eq!(v as i64, v.trunc() as i64, "{v:e}");
+        }
+        // And through `quantize`, whose gain scales each row first.
+        for bitwidth in [2, 8, 16, 32] {
+            for row in values.chunks(64) {
+                let q = quantize(&model_with(row, 1, row.len()), bitwidth).unwrap();
+                let want: Vec<i64> = row
+                    .iter()
+                    .map(|&v| (v * q.gains[0]).trunc() as i64)
+                    .collect();
+                assert_eq!(q.words, want, "bitwidth {bitwidth}");
+            }
+        }
+    }
+
+    #[test]
+    fn dequantize_into_matches_dequantize_and_checks_the_shape() {
+        let m = model_with(&[10.0, -3.0, 7.0, 0.5, -20.0, 4.0], 2, 3);
+        let q = quantize(&m, 8).unwrap();
+        let mut reused = m.clone();
+        dequantize_into(&q, &mut reused).unwrap();
+        assert_eq!(reused, dequantize(&q).unwrap());
+        assert!(dequantize_into(&q, &mut HdModel::new(3, 2).unwrap()).is_err());
     }
 
     #[test]

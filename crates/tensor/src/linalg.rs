@@ -1,14 +1,18 @@
 //! Matrix multiplication and related rank-2 linear algebra.
 //!
 //! [`Tensor::matmul_nt`] is the one kernel under `sign(Φz)` encoding, the
-//! conv (im2col · Wᵀ) and linear forward passes and HD similarity. It is a
+//! conv (im2col · Wᵀ) and linear forward passes and HD scoring. It is a
 //! packed, register-blocked GEMM in safe portable Rust. The operand with
-//! fewer rows is interleaved, `MC` rows at a time, into `[k][MR]` panels;
-//! the other is read in place, `NR` rows at a time, once per `MC` packed
-//! rows; and an `MR × NR` micro-kernel keeps one accumulator per output
-//! in registers. For the encoder that packs the feature batch and streams
-//! Φ once; for a convolution it packs the filters and streams the im2col
-//! buffer once. The only scratch is the `min(m, n, MC) × k` panel buffer.
+//! fewer rows is interleaved, `MC` rows and `KC` columns at a time, into
+//! `[KC][MR]` panels; the other is read in place, `NR` rows at a time,
+//! once per `MC` packed rows; and an `MR × NR` micro-kernel keeps one
+//! accumulator per output in registers. For the encoder that packs the
+//! feature batch and streams Φ once; for a convolution it packs the
+//! filters and streams the im2col buffer once. The only scratch is the
+//! `min(m, n, MC) × min(k, KC)` panel buffer. [`matmul_nt_into`] is the
+//! kernel's borrowed entry — rows of one matrix against rows of another,
+//! into the caller's output and panel buffers — and [`Tensor::matmul_nt`]
+//! wraps it.
 //!
 //! **Reduction-order contract.** Every output `out[i][j]` is one chain
 //! `((-0.0 + a[i][0]·b[j][0]) + a[i][1]·b[j][1]) + …` in ascending `k`,
@@ -19,8 +23,10 @@
 //! for every shape and on every target (up to which NaN payload a NaN
 //! output carries, which Rust leaves unspecified); there is no FMA, no
 //! split `k` sum, no dispatch and therefore nothing for a SIMD/scalar
-//! parity suite to compare. The tests below hold it to the naive loop bit
-//! for bit.
+//! parity suite to compare. Rows longer than `KC` are taken `KC` columns
+//! at a time, and each chain picks up from the `f32` partial sum it left
+//! in the output — the same chain, parked in memory once per `KC` terms.
+//! The tests below hold it to the naive loop bit for bit.
 //!
 //! [`Tensor::matmul`] and [`Tensor::matmul_tn`] are lane-parallel axpy
 //! loops whose zero-skip matters for non-finite inputs; they are left as
@@ -35,10 +41,14 @@ const MR: usize = 8;
 /// 16 baseline vector registers, leaving room for the panel column and the
 /// broadcast values.
 const NR: usize = 4;
-/// Rows packed at a time. Bounds the scratch at `MC × k` floats (an
-/// L2-sized block at the encoder's `k = 617`) and sets how often the other
-/// operand is re-read: once per `MC` packed rows.
+/// Rows packed at a time. With `KC` bounds the scratch (an L2-sized block
+/// at the encoder's `k = 617`) and sets how often the other operand is
+/// re-read: once per `MC` packed rows.
 const MC: usize = 64;
+/// Columns packed at a time, so that the scratch is at most `MC × KC`
+/// floats however long the rows are and an `MR`-row panel (32 KiB) stays
+/// in L1 at HD widths. Every `k` the encoder and the CNN use is below it.
+const KC: usize = 1024;
 
 /// `out[p · lane_stride + s · row_stride] = Σ_q lanes[p][q] · streamed[s][q]`
 /// for row-major `lanes: [_, k]` and `streamed: [_, k]`, `k > 0`.
@@ -46,6 +56,7 @@ const MC: usize = 64;
 /// `lanes` is packed and vectorised over, `streamed` is read in place.
 /// Which operand of `matmul_nt` plays which part changes the work, not
 /// the result: every output is the same chain over `q` either way.
+/// `packed` is grown to the panel buffer's size and otherwise reused.
 fn gemm_nt(
     lanes: &[f32],
     streamed: &[f32],
@@ -53,48 +64,59 @@ fn gemm_nt(
     out: &mut [f32],
     lane_stride: usize,
     row_stride: usize,
+    packed: &mut Vec<f32>,
 ) {
     let lane_count = lanes.len() / k;
-    let mut packed = vec![0.0f32; MC.min(lane_count).next_multiple_of(MR) * k];
+    let panel_len = MC.min(lane_count).next_multiple_of(MR) * KC.min(k);
+    if packed.len() < panel_len {
+        packed.resize(panel_len, 0.0);
+    }
     for (block, lane_block) in lanes.chunks(MC * k).enumerate() {
-        let panels = &mut packed[..(lane_block.len() / k).next_multiple_of(MR) * k];
-        for (src, panel) in lane_block
-            .chunks(MR * k)
-            .zip(panels.chunks_exact_mut(MR * k))
-        {
-            pack_panel(src, k, panel);
-        }
-        for (group, row_group) in streamed.chunks(NR * k).enumerate() {
-            // A short last group repeats its first row: the tile computes
-            // those sums and stores only the real ones.
-            let mut rows = [&row_group[..k]; NR];
-            for (slot, row) in rows.iter_mut().zip(row_group.chunks_exact(k)) {
-                *slot = row;
+        // After the first `KC` columns every chain picks up from the
+        // partial sum it left in `out`.
+        for q0 in (0..k).step_by(KC) {
+            let columns = q0..k.min(q0 + KC);
+            let (kc, resume) = (columns.len(), q0 > 0);
+            let panels = &mut packed[..(lane_block.len() / k).next_multiple_of(MR) * kc];
+            for (src, panel) in lane_block
+                .chunks(MR * k)
+                .zip(panels.chunks_exact_mut(MR * kc))
+            {
+                pack_panel(src, k, columns.clone(), panel);
             }
-            let live_rows = row_group.len() / k;
-            for (index, panel) in panels.chunks_exact(MR * k).enumerate() {
-                let lane0 = block * MC + index * MR;
-                let live_lanes = (lane_count - lane0).min(MR);
-                let tile_out = &mut out[lane0 * lane_stride + group * NR * row_stride..];
-                let strides = (lane_stride, row_stride);
-                // A short last panel runs the same kernel over as few lanes
-                // as hold it, so a single row costs one lane, not eight.
-                match live_lanes {
-                    1 => tile::<1>(panel, rows, tile_out, strides, live_lanes, live_rows),
-                    2..=4 => tile::<4>(panel, rows, tile_out, strides, live_lanes, live_rows),
-                    _ => tile::<MR>(panel, rows, tile_out, strides, live_lanes, live_rows),
+            for (group, row_group) in streamed.chunks(NR * k).enumerate() {
+                // A short last group repeats its first row: the tile computes
+                // those sums and stores only the real ones.
+                let mut rows = [&row_group[columns.clone()]; NR];
+                for (slot, row) in rows.iter_mut().zip(row_group.chunks_exact(k)) {
+                    *slot = &row[columns.clone()];
+                }
+                let live_rows = row_group.len() / k;
+                for (index, panel) in panels.chunks_exact(MR * kc).enumerate() {
+                    let lane0 = block * MC + index * MR;
+                    let live = (lane_count - lane0).min(MR);
+                    let tile_out = &mut out[lane0 * lane_stride + group * NR * row_stride..];
+                    let strides = (lane_stride, row_stride);
+                    // A short last panel runs the same kernel over as few lanes
+                    // as hold it, so a single row costs one lane, not eight.
+                    match live {
+                        1 => tile::<1>(panel, rows, tile_out, strides, live, live_rows, resume),
+                        2..=4 => tile::<4>(panel, rows, tile_out, strides, live, live_rows, resume),
+                        _ => tile::<MR>(panel, rows, tile_out, strides, live, live_rows, resume),
+                    }
                 }
             }
         }
     }
 }
 
-/// Interleaves up to `MR` rows of `k` values into a `[k][MR]` panel. Lanes
-/// past the last row keep what they held: their sums are never stored.
-fn pack_panel(rows: &[f32], k: usize, panel: &mut [f32]) {
-    let (columns, _) = panel.as_chunks_mut::<MR>();
+/// Interleaves `columns` of up to `MR` rows of `k` values into a
+/// `[columns][MR]` panel. Lanes past the last row keep what they held:
+/// their sums are never stored.
+fn pack_panel(rows: &[f32], k: usize, columns: std::ops::Range<usize>, panel: &mut [f32]) {
+    let (panel_columns, _) = panel.as_chunks_mut::<MR>();
     for (lane, row) in rows.chunks_exact(k).enumerate() {
-        for (column, &value) in columns.iter_mut().zip(row) {
+        for (column, &value) in panel_columns.iter_mut().zip(&row[columns.clone()]) {
             column[lane] = value;
         }
     }
@@ -102,7 +124,8 @@ fn pack_panel(rows: &[f32], k: usize, panel: &mut [f32]) {
 
 /// Runs the micro-kernel over the first `L` lanes of one panel against
 /// `NR` streamed rows and stores the `live_lanes × live_rows` real sums at
-/// the given `(lane, row)` strides.
+/// the given `(lane, row)` strides. With `resume` the chains start from
+/// the sums already there instead of from `-0.0`.
 fn tile<const L: usize>(
     panel: &[f32],
     rows: [&[f32]; NR],
@@ -110,8 +133,18 @@ fn tile<const L: usize>(
     (lane_stride, row_stride): (usize, usize),
     live_lanes: usize,
     live_rows: usize,
+    resume: bool,
 ) {
-    let acc = micro_kernel::<L>(panel.as_chunks::<MR>().0, rows);
+    let parked = resume.then(|| {
+        let mut sums = [[-0.0f32; L]; NR];
+        for (row, sums_row) in sums.iter_mut().enumerate().take(live_rows) {
+            for (lane, sum) in sums_row.iter_mut().enumerate().take(live_lanes) {
+                *sum = out[lane * lane_stride + row * row_stride];
+            }
+        }
+        sums
+    });
+    let acc = micro_kernel::<L>(panel.as_chunks::<MR>().0, rows, parked.as_ref());
     for (row, acc_row) in acc.iter().enumerate().take(live_rows) {
         for (lane, &sum) in acc_row.iter().enumerate().take(live_lanes) {
             out[lane * lane_stride + row * row_stride] = sum;
@@ -119,16 +152,21 @@ fn tile<const L: usize>(
     }
 }
 
-/// `acc[s][p] = Σ_q panel[q][p] · rows[s][q]`: `L × NR` independent
-/// chains, each ascending in `q` from `-0.0` with a separate multiply and
-/// add. The two inner loops have constant trip counts and unroll into
-/// `NR` broadcast-multiply-adds over the panel column.
+/// `acc[s][p] = start[s][p] + Σ_q panel[q][p] · rows[s][q]`: `L × NR`
+/// independent chains, each ascending in `q` from its `start` (`-0.0`
+/// without one) with a separate multiply and add. The two inner loops
+/// have constant trip counts and unroll into `NR` broadcast-multiply-adds
+/// over the panel column.
 ///
 /// Out of line so that its code does not depend on the caller: inlined
 /// next to the strided store it was seen to compile to scalar code.
 #[inline(never)]
-fn micro_kernel<const L: usize>(panel: &[[f32; MR]], rows: [&[f32]; NR]) -> [[f32; L]; NR] {
-    let mut acc = [[-0.0f32; L]; NR];
+fn micro_kernel<const L: usize>(
+    panel: &[[f32; MR]],
+    rows: [&[f32]; NR],
+    start: Option<&[[f32; L]; NR]>,
+) -> [[f32; L]; NR] {
+    let mut acc = start.copied().unwrap_or([[-0.0f32; L]; NR]);
     let [r0, r1, r2, r3] = rows;
     for ((((column, &x0), &x1), &x2), &x3) in panel.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
         for (acc_row, x) in acc.iter_mut().zip([x0, x1, x2, x3]) {
@@ -138,6 +176,55 @@ fn micro_kernel<const L: usize>(panel: &[[f32; MR]], rows: [&[f32]; NR]) -> [[f3
         }
     }
     acc
+}
+
+/// `out[i][j] = a[i] · b[j]` for row-major `a: [m, k]`, `b: [n, k]` and
+/// `out: [m, n]`, all borrowed: the slice-level entry to the kernel under
+/// [`Tensor::matmul_nt`], for callers that score rows of tensors they
+/// already hold into a buffer they reuse. `panels` is the kernel's
+/// scratch; it is grown to `min(m, n, 64)` rows (rounded up to 8) of
+/// `min(k, 1024)` floats and never shrunk, so one `Vec` serves any number
+/// of calls with at most one allocation per shape. Each output is the
+/// chain the [module docs](self) describe.
+///
+/// # Errors
+///
+/// Returns an error if `a` or `b` is not a whole number of `k`-wide rows
+/// or `out` is not `m × n` long. With `k = 0` both operands must be empty
+/// and every output is the empty sum, `-0.0`.
+pub fn matmul_nt_into(
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    out: &mut [f32],
+    panels: &mut Vec<f32>,
+) -> Result<()> {
+    if k == 0 && a.is_empty() && b.is_empty() {
+        out.fill(-0.0);
+        return Ok(());
+    }
+    let (m, n) = (a.len().checked_div(k), b.len().checked_div(k));
+    let (Some(m), Some(n)) = (m, n) else {
+        return Err(TensorError::InvalidArgument(
+            "matmul_nt_into: rows of zero width cannot hold values".into(),
+        ));
+    };
+    if a.len() != m * k || b.len() != n * k || out.len() != m * n {
+        return Err(TensorError::InvalidArgument(format!(
+            "matmul_nt_into: {} and {} values are not [m, {k}] and [n, {k}] with {} outputs",
+            a.len(),
+            b.len(),
+            out.len()
+        )));
+    }
+    // Pack whichever operand has fewer rows: less to interleave, less
+    // scratch, and the larger one is then read once per `MC` of them.
+    if n < m {
+        gemm_nt(b, a, k, out, 1, n, panels);
+    } else {
+        gemm_nt(a, b, k, out, n, 1, panels);
+    }
+    Ok(())
 }
 
 impl Tensor {
@@ -241,19 +328,14 @@ impl Tensor {
                 rhs: [k2, n],
             });
         }
-        if k == 0 {
-            // The empty sum.
-            return Tensor::from_vec(vec![-0.0; m * n], &[m, n]);
-        }
-        let (a, b) = (self.as_slice(), other.as_slice());
         let mut out = vec![0.0f32; m * n];
-        // Pack whichever operand has fewer rows: less to interleave, less
-        // scratch, and the larger one is then read once per `MC` of them.
-        if n < m {
-            gemm_nt(b, a, k, &mut out, 1, n);
-        } else {
-            gemm_nt(a, b, k, &mut out, n, 1);
-        }
+        matmul_nt_into(
+            self.as_slice(),
+            other.as_slice(),
+            k,
+            &mut out,
+            &mut Vec::new(),
+        )?;
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -460,6 +542,70 @@ mod tests {
         let a = fill(26, 617, &mut rng, false);
         let phi = fill(10_000, 617, &mut rng, false);
         assert_bit_identical(&a, &phi);
+    }
+
+    #[test]
+    fn matmul_nt_is_bit_identical_when_rows_span_column_slices() {
+        // Chains parked in the output between `KC`-column slices, with
+        // every lane count the tiles distinguish on either side.
+        let mut rng = StdRng::seed_from_u64(1024);
+        for k in [KC - 1, KC, KC + 1, 2 * KC + 3] {
+            for (m, n) in [(1, 1), (1, 5), (3, 2), (8, 10), (9, 4), (MC + 1, 7)] {
+                for specials in [false, true] {
+                    let a = fill(m, k, &mut rng, specials);
+                    let b = fill(n, k, &mut rng, specials);
+                    assert_bit_identical(&a, &b);
+                    assert_bit_identical(&b, &a);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_nt_into_scores_borrowed_rows_and_reuses_its_panels() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let a = fill(11, 70, &mut rng, false);
+        let b = fill(6, 70, &mut rng, false);
+        let want = naive_nt(&a, &b);
+        let mut panels = Vec::new();
+        // Rows 3..11 of `a` against rows 1..3 of `b`, then all of both,
+        // through one scratch with stale panels in it.
+        let mut part = [0.0f32; 8 * 2];
+        matmul_nt_into(
+            &a.as_slice()[3 * 70..],
+            &b.as_slice()[70..3 * 70],
+            70,
+            &mut part,
+            &mut panels,
+        )
+        .unwrap();
+        for (i, row) in part.chunks_exact(2).enumerate() {
+            assert_eq!(row, &want[(i + 3) * 6 + 1..(i + 3) * 6 + 3]);
+        }
+        let capacity = panels.capacity();
+        let mut all = vec![0.0f32; 11 * 6];
+        matmul_nt_into(a.as_slice(), b.as_slice(), 70, &mut all, &mut panels).unwrap();
+        assert_eq!(all, want);
+        assert_eq!(
+            panels.capacity(),
+            capacity,
+            "6 lanes fit the 2-lane call's panel"
+        );
+        assert_eq!(a.matmul_nt(&b).unwrap().as_slice(), &want[..]);
+    }
+
+    #[test]
+    fn matmul_nt_into_rejects_ragged_operands() {
+        let (a, b, mut panels) = ([1.0f32; 12], [1.0f32; 8], Vec::new());
+        assert!(matmul_nt_into(&a, &b, 4, &mut [0.0; 6], &mut panels).is_ok());
+        assert!(matmul_nt_into(&a, &b, 4, &mut [0.0; 5], &mut panels).is_err());
+        assert!(matmul_nt_into(&a, &b, 5, &mut [0.0; 2], &mut panels).is_err());
+        assert!(matmul_nt_into(&a, &b, 0, &mut [0.0; 6], &mut panels).is_err());
+        let mut empty_sums = [1.0f32; 6];
+        matmul_nt_into(&[], &[], 0, &mut empty_sums, &mut panels).unwrap();
+        assert!(empty_sums
+            .iter()
+            .all(|s| s.to_bits() == (-0.0f32).to_bits()));
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //!    what makes the packed path viable on allocator-poor AIoT targets.
 //!    Pinned with *thread-local* counters, so concurrently running
 //!    tests cannot pollute the measurement.
-//! 2. Per-round peak memory **scales with the client count** — the
+//! 2. A dense `refine_epoch` allocates a **fixed number of buffers per
+//!    call**, whatever the batch: the block scorer's scratch is set up
+//!    once and the GEMM borrows the sample rows where they lie. Same
+//!    thread-local window.
+//! 3. Per-round peak memory **scales with the client count** — the
 //!    aggregation path materializes every arrived update, which is the
 //!    O(clients) wall that ROADMAP item 2's streaming aggregation is
 //!    aimed at. Measured with the process-global watermark; since
@@ -85,6 +89,38 @@ fn packed_kernel_hot_paths_are_allocation_free() {
     let heap_packed = pack_signs(&values);
     assert!(mark.delta().allocs >= 1, "tracking is live");
     assert_eq!(heap_packed, packed);
+}
+
+#[test]
+fn dense_refine_allocations_do_not_grow_with_the_batch() {
+    // Narrow vectors: the round-peak tests below read a process-wide
+    // watermark while this one runs. Half the labels are off by one
+    // class, so both epochs update prototypes and re-score in-block.
+    const WIDTH: usize = 64;
+    let refine_allocs = |rows: usize| {
+        let mut rng = StdRng::seed_from_u64(rows as u64);
+        let data: Vec<f32> = (0..rows * WIDTH)
+            .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+            .collect();
+        let samples = Tensor::from_vec(data, &[rows, WIDTH]).unwrap();
+        let labels: Vec<usize> = (0..rows).map(|r| r % CLASSES).collect();
+        let mut model = HdModel::new(CLASSES, WIDTH).unwrap();
+        model.one_shot_train(&samples, &labels).unwrap();
+        let shifted: Vec<usize> = (0..rows).map(|r| (r + r % 2) % CLASSES).collect();
+        let mark = mem::thread_mark();
+        let updates = model.refine_epoch(&samples, &shifted).unwrap()
+            + model
+                .refine_epoch_adaptive(&samples, &shifted, 0.5)
+                .unwrap();
+        assert!(updates > 0, "{rows} rows: nothing was re-scored");
+        mark.delta().allocs
+    };
+    let (small, large) = (refine_allocs(16), refine_allocs(256));
+    assert!(small > 0, "tracking is live");
+    assert_eq!(
+        small, large,
+        "refine allocated {small} times for 16 samples and {large} for 256"
+    );
 }
 
 /// Builds a one-round fedhd federation over `num_clients` clients with
