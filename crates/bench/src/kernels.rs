@@ -45,6 +45,10 @@ pub fn kernel_benches() -> Vec<Bench> {
             run: bench_conv2d,
         },
         Bench {
+            name: "tensor.conv2d_bwd",
+            run: bench_conv2d_bwd,
+        },
+        Bench {
             name: "hdc.encode",
             run: bench_hdc_encode,
         },
@@ -156,6 +160,25 @@ fn bench_conv2d(cfg: &BenchConfig) -> BenchResult {
     let input = random_tensor(&[4, 8, 16, 16], 4);
     run_bench("tensor.conv2d", cfg, 50, 4.0, || {
         black_box(conv.forward(&input, Mode::Eval).expect("conv forward"));
+    })
+}
+
+/// A training step's share of one layer: `resnet_lite`'s 8 -> 8 3x3
+/// convolution at 16x16 on a local batch of 10, forward in training mode
+/// (which keeps the columns) and backward.
+fn bench_conv2d_bwd(cfg: &BenchConfig) -> BenchResult {
+    let mut rng = StdRng::seed_from_u64(3);
+    let geom = ConvGeometry {
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    let mut conv = Conv2d::new(8, 8, geom, &mut rng).expect("conv");
+    let input = random_tensor(&[10, 8, 16, 16], 4);
+    let grad = random_tensor(&[10, 8, 16, 16], 5);
+    run_bench("tensor.conv2d_bwd", cfg, 50, 10.0, || {
+        black_box(conv.forward(&input, Mode::Train).expect("conv forward"));
+        black_box(conv.backward(&grad).expect("conv backward"));
     })
 }
 

@@ -64,13 +64,9 @@ impl Layer for Relu {
                 ),
             });
         }
-        let mut g = grad_output.clone();
-        for (x, &keep) in g.as_mut_slice().iter_mut().zip(&mask) {
-            if !keep {
-                *x = 0.0;
-            }
-        }
-        Ok(g)
+        let g = grad_output.as_slice().iter().zip(&mask);
+        let g = g.map(|(&g, &keep)| if keep { g } else { 0.0 }).collect();
+        Ok(Tensor::from_vec(g, grad_output.dims())?)
     }
 
     fn output_dims(&self, input_dims: &[usize]) -> Result<Vec<usize>> {

@@ -58,8 +58,11 @@ impl Network {
     ///
     /// Propagates the first layer error.
     pub fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(input.clone());
+        };
+        let mut x = first.forward(input, mode)?;
+        for layer in rest {
             x = layer.forward(&x, mode)?;
         }
         Ok(x)
@@ -72,8 +75,11 @@ impl Network {
     ///
     /// Propagates the first layer error (including missing forward caches).
     pub fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let mut g = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        let Some((last, rest)) = self.layers.split_last_mut() else {
+            return Ok(grad_output.clone());
+        };
+        let mut g = last.backward(grad_output)?;
+        for layer in rest.iter_mut().rev() {
             g = layer.backward(&g)?;
         }
         Ok(g)

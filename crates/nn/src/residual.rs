@@ -90,15 +90,14 @@ impl Layer for ResidualBlock {
         let main = self.bn1.forward(&main, mode)?;
         let main = self.relu1.forward(&main, mode)?;
         let main = self.conv2.forward(&main, mode)?;
-        let main = self.bn2.forward(&main, mode)?;
-        let skip = match &mut self.shortcut {
+        let mut sum = self.bn2.forward(&main, mode)?;
+        match &mut self.shortcut {
             Some((conv, bn)) => {
                 let s = conv.forward(input, mode)?;
-                bn.forward(&s, mode)?
+                sum.add_assign(&bn.forward(&s, mode)?)?;
             }
-            None => input.clone(),
-        };
-        let sum = main.add(&skip)?;
+            None => sum.add_assign(input)?,
+        }
         self.relu_out.forward(&sum, mode)
     }
 

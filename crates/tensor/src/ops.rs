@@ -158,10 +158,13 @@ impl Tensor {
                 rhs: row.dims().to_vec(),
             });
         }
-        let cols = self.dims()[1];
         let mut out = self.clone();
-        for (i, x) in out.as_mut_slice().iter_mut().enumerate() {
-            *x += row.as_slice()[i % cols];
+        if !row.is_empty() {
+            for out_row in out.as_mut_slice().chunks_exact_mut(row.len()) {
+                for (x, b) in out_row.iter_mut().zip(row.as_slice()) {
+                    *x += b;
+                }
+            }
         }
         Ok(out)
     }

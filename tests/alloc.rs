@@ -11,7 +11,10 @@
 //!    call**, whatever the batch: the block scorer's scratch is set up
 //!    once and the GEMM borrows the sample rows where they lie. Same
 //!    thread-local window.
-//! 3. Per-round peak memory **scales with the client count** — the
+//! 3. An evaluation-mode `Conv2d::forward` allocates **one column block**
+//!    of scratch besides its output, however many images are in the
+//!    batch. Same thread-local window.
+//! 4. Per-round peak memory **scales with the client count** — the
 //!    aggregation path materializes every arrived update, which is the
 //!    O(clients) wall that ROADMAP item 2's streaming aggregation is
 //!    aimed at. Measured with the process-global watermark; since
@@ -26,13 +29,26 @@ use fhdnn::federated::fedhd::{HdClientData, HdFederation, HdTransport};
 use fhdnn::hdc::encoder::RandomProjectionEncoder;
 use fhdnn::hdc::model::HdModel;
 use fhdnn::hdc::packed::{pack_signs, pack_signs_into, words_for, PackedBatch, PackedHdModel};
+use fhdnn::nn::conv::{Conv2d, ConvGeometry};
+use fhdnn::nn::{Layer, Mode};
 use fhdnn::telemetry::mem;
 use fhdnn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const DIM: usize = 2048;
 const CLASSES: usize = 6;
+
+/// Held by every test here for its whole body: the round-peak tests read
+/// a process-wide watermark, which any other thread's allocations push up
+/// (they failed one run in five when the tests ran side by side).
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    // A test that failed while holding the lock has poisoned nothing.
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn sample_batch(rows: usize, seed: u64) -> (PackedBatch, Vec<usize>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -45,6 +61,7 @@ fn sample_batch(rows: usize, seed: u64) -> (PackedBatch, Vec<usize>) {
 
 #[test]
 fn packed_kernel_hot_paths_are_allocation_free() {
+    let _alone = alone();
     let (batch, labels) = sample_batch(48, 11);
     let mut model = PackedHdModel::new(CLASSES, DIM).unwrap();
     let values: Vec<f32> = (0..DIM)
@@ -93,6 +110,7 @@ fn packed_kernel_hot_paths_are_allocation_free() {
 
 #[test]
 fn dense_refine_allocations_do_not_grow_with_the_batch() {
+    let _alone = alone();
     // Narrow vectors: the round-peak tests below read a process-wide
     // watermark while this one runs. Half the labels are off by one
     // class, so both epochs update prototypes and re-score in-block.
@@ -120,6 +138,37 @@ fn dense_refine_allocations_do_not_grow_with_the_batch() {
     assert_eq!(
         small, large,
         "refine allocated {small} times for 16 samples and {large} for 256"
+    );
+}
+
+#[test]
+fn conv_eval_scratch_is_one_block_whatever_the_batch() {
+    let _alone = alone();
+    // At 16x16 a block is two images, so the batches are 4 blocks and 32.
+    let geometry = ConvGeometry {
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut conv = Conv2d::new(1, 2, geometry, &mut rng).unwrap();
+    let mut scratch_bytes = |n: usize| {
+        let images = Tensor::randn(&[n, 1, 16, 16], 1.0, &mut rng);
+        let mark = mem::thread_mark();
+        let out = conv.forward(&images, Mode::Eval).unwrap();
+        let delta = mark.delta();
+        delta.alloc_bytes - (out.len() * std::mem::size_of::<f32>()) as u64
+    };
+    let (small, large) = (scratch_bytes(8), scratch_bytes(64));
+    assert!(small > 0, "tracking is live");
+    assert_eq!(
+        small, large,
+        "conv scratch was {small} B for 8 images and {large} B for 64"
+    );
+    let block_of_columns = (9 * 2 * 256 * std::mem::size_of::<f32>()) as u64;
+    assert!(
+        small < block_of_columns + 256,
+        "{small} B of scratch is more than a block of columns"
     );
 }
 
@@ -181,6 +230,7 @@ fn run_one_round(num_clients: usize, seed: u64, transport: HdTransport) -> u64 {
 
 #[test]
 fn round_peak_memory_scales_with_client_count() {
+    let _alone = alone();
     // Minimum of three runs per count: concurrent allocation traffic
     // can only push a peak up, never down, so the min is the cleanest
     // observation of the engine's own footprint.
@@ -213,6 +263,7 @@ fn round_peak_memory_scales_with_client_count() {
 /// O(clients) wall sits far lower than the float transport's.
 #[test]
 fn packed_round_peak_memory_scales_with_client_count_but_stays_small() {
+    let _alone = alone();
     let min_peak = |n: usize, t: HdTransport| {
         (0..3)
             .map(|i| run_one_round(n, 100 + i, t))
