@@ -7,38 +7,27 @@
 //! uplink through a (possibly unreliable) [`Channel`]; the server averages
 //! the received vectors weighted by client sample counts.
 //!
-//! Client work fans out over the deterministic pool in [`crate::parallel`]:
-//! every worker trains its own clone of the broadcast network with an RNG
-//! stream split from the round seed, and the barrier reduces in fixed
-//! participant order, so results are byte-identical at any thread count.
+//! The round protocol itself lives in the crate-private `round` module;
+//! this module supplies the FedAvg rule it drives. Every worker trains
+//! its own clone of the broadcast network with an RNG stream split from
+//! the round seed, and the barrier folds in fixed participant order, so
+//! results are byte-identical at any thread count.
 
 use fhdnn_channel::lte::LteLink;
-use fhdnn_channel::{Channel, ChannelStats, ChannelStatsSnapshot};
+use fhdnn_channel::Channel;
 use fhdnn_datasets::batcher::Batcher;
 use fhdnn_datasets::image::ImageDataset;
 use fhdnn_nn::loss::{accuracy, cross_entropy};
 use fhdnn_nn::optim::{LrSchedule, Sgd};
 use fhdnn_nn::{Mode, Network};
-use fhdnn_telemetry::alert::{emit_alerts, AlertEngine};
-use fhdnn_telemetry::registry::EVENT_TRACE_ROUND;
-use fhdnn_telemetry::task::TaskBuffer;
-use fhdnn_telemetry::trace::TaskTrace;
-use fhdnn_telemetry::{Recorder, Telemetry};
+use fhdnn_telemetry::Recorder;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{RngCore, SeedableRng};
-
-use fhdnn_telemetry::sketch::{DistinctEstimator, Reservoir, Sample};
 
 use crate::config::FlConfig;
-use crate::cost::DeviceProfile;
-use crate::health::{
-    divergence_summary, elementwise_delta, norm_stats, HealthRecord, RoundSketches,
-    FLEET_DIVERGENCE_SAMPLE, FLEET_MAX_OUTLIERS,
-};
+use crate::health::{elementwise_delta, norm_stats};
 use crate::metrics::{RoundMetrics, RunHistory};
-use crate::parallel::{resolve_threads, run_tasks_traced, split_seed};
-use crate::sampling::sample_clients;
+use crate::round::{driver_accessors, Algorithm, ModelHealth, RoundDriver, Uplink};
 use crate::{FedError, Result};
 
 /// Local optimizer settings used by every client.
@@ -70,35 +59,46 @@ impl Default for LocalSgdConfig {
 /// embarrassingly parallel across the round pool.
 #[derive(Debug)]
 pub struct CnnFederation {
+    driver: RoundDriver,
+    alg: FedAvg,
+}
+
+/// The FedAvg rule: local SGD on a clone of the global network, the full
+/// (or a random fraction of the) parameter vector on the wire, a
+/// per-coordinate sample-weighted mean at the server.
+#[derive(Debug)]
+struct FedAvg {
     global: Network,
     clients: Vec<ImageDataset>,
-    config: FlConfig,
+    local_epochs: usize,
+    batch_size: usize,
     sgd: LocalSgdConfig,
-    rng: StdRng,
-    round: usize,
     upload_fraction: f32,
     lr_schedule: LrSchedule,
-    threads: usize,
-    device: DeviceProfile,
-    link: LteLink,
-    telemetry: Telemetry,
-    channel_stats: ChannelStats,
-    alerts: AlertEngine,
-    fleet_telemetry: bool,
-    cohort: DistinctEstimator,
+    /// This round's learning rate under the schedule.
+    lr: f32,
+    /// One SGD step on a single sample, in FLOPs.
+    per_sample_flops: u64,
+    /// The flattened round-start parameters: what unsent coordinates fall
+    /// back to, and the health baseline.
+    broadcast: Vec<f32>,
+    /// The flattened parameters after the last aggregate.
+    averaged: Vec<f32>,
+    /// The open aggregate; `None` until the round's first update folds.
+    sums: Option<Sums>,
 }
 
-/// One participant's unit of round work, shipped to a pool worker.
-struct ClientTask {
-    client: usize,
-    rng: StdRng,
-    buf: TaskBuffer,
+/// Sample-weighted `f64` sums over the arrived updates, per coordinate.
+#[derive(Debug)]
+struct Sums {
+    acc: Vec<f64>,
+    weights: Vec<f64>,
+    state_acc: Vec<f64>,
+    state_weight: f64,
 }
 
-/// What comes back from a worker at the round barrier.
-struct ClientOutcome {
-    /// Aggregation weight (the client's sample count).
-    weight: f64,
+/// What reaches the server from one FedAvg client.
+struct CnnUpdate {
     /// The transmitted (possibly channel-corrupted) parameter payload.
     payload: Vec<f32>,
     /// `Some(coordinates)` when compressed uploads are on; `None` means
@@ -107,633 +107,143 @@ struct ClientOutcome {
     /// Running (non-trainable) state after local training, e.g. batch-norm
     /// statistics. Never transmitted — FedAvg uplinks only parameters.
     running_state: Vec<f32>,
-    buf: TaskBuffer,
-    stats: ChannelStatsSnapshot,
 }
 
-impl CnnFederation {
-    /// Creates a federation from a freshly-initialized network and one
-    /// dataset per client.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the config is invalid or the client count does
-    /// not match `config.num_clients`.
-    pub fn new(
-        global: Network,
-        clients: Vec<ImageDataset>,
-        config: FlConfig,
-        sgd: LocalSgdConfig,
-    ) -> Result<Self> {
-        config.validate()?;
-        if clients.len() != config.num_clients {
-            return Err(FedError::InvalidArgument(format!(
-                "{} client datasets for {} configured clients",
-                clients.len(),
-                config.num_clients
-            )));
-        }
-        if clients.iter().any(ImageDataset::is_empty) {
-            return Err(FedError::InvalidArgument("a client has no data".into()));
-        }
-        let rng = StdRng::seed_from_u64(config.seed);
-        Ok(CnnFederation {
-            global,
-            clients,
-            config,
-            sgd,
-            rng,
-            round: 0,
-            upload_fraction: 1.0,
-            lr_schedule: LrSchedule::Constant,
-            threads: 1,
-            device: DeviceProfile::raspberry_pi_3b(),
-            link: LteLink::error_free(),
-            telemetry: Recorder::disabled(),
-            channel_stats: ChannelStats::new(),
-            alerts: AlertEngine::default(),
-            fleet_telemetry: false,
-            cohort: DistinctEstimator::new(),
-        })
-    }
+impl Algorithm for FedAvg {
+    type Test = ImageDataset;
+    type Local = Network;
+    type Update = CnnUpdate;
+    const ENGINE: &'static str = "fedavg";
 
-    /// Attaches a telemetry recorder; subsequent rounds emit spans,
-    /// counters and gauges through it. Defaults to the shared disabled
-    /// recorder (no-ops).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// The attached telemetry recorder.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Cumulative realized channel impairments across all transmissions
-    /// so far.
-    pub fn channel_stats(&self) -> ChannelStatsSnapshot {
-        self.channel_stats.snapshot()
-    }
-
-    /// Sets the per-round learning-rate schedule applied on top of the
-    /// configured base rate (e.g. cosine annealing across the federated
-    /// rounds).
-    pub fn set_lr_schedule(&mut self, schedule: LrSchedule) {
-        self.lr_schedule = schedule;
-    }
-
-    /// Sets how many pool threads run per-round client work: `0` means
-    /// auto (the machine's available parallelism), `1` (the default)
-    /// runs inline on the caller's thread. Round results are
-    /// byte-identical at every thread count — per-client RNG streams are
-    /// split from the round seed and the barrier reduces in fixed
-    /// participant order — so this is purely a wall-clock knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
-    /// The configured thread-count knob (`0` = auto).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Switches telemetry to fleet mode: per-client emission (per-task
-    /// spans/counters, `trace.task` rows, unbounded outlier lists) is
-    /// suppressed and the per-client divergence deltas are bounded by a
-    /// seeded reservoir sample, so events per round and health-record
-    /// size are O(1) in the cohort size. Sketch percentiles, exemplars,
-    /// and round-level counters are unaffected.
-    pub fn set_fleet_telemetry(&mut self, fleet: bool) {
-        self.fleet_telemetry = fleet;
-    }
-
-    /// Whether fleet-mode telemetry suppression is active.
-    pub fn fleet_telemetry(&self) -> bool {
-        self.fleet_telemetry
-    }
-
-    /// Sets the simulated AIoT device whose throughput costs each
-    /// client's local-training FLOPs on the trace's simulated lane.
-    /// Defaults to the paper's Raspberry Pi 3b profile.
-    pub fn set_device_profile(&mut self, device: DeviceProfile) {
-        self.device = device;
-    }
-
-    /// The simulated AIoT device profile.
-    pub fn device_profile(&self) -> &DeviceProfile {
-        &self.device
-    }
-
-    /// Sets the simulated LTE uplink whose airtime costs each update on
-    /// the trace's simulated lane. Defaults to the paper's error-free
-    /// (1.6 Mbit/s) link — conventional FL must transmit coded.
-    pub fn set_lte_link(&mut self, link: LteLink) {
-        self.link = link;
-    }
-
-    /// The simulated LTE uplink.
-    pub fn lte_link(&self) -> LteLink {
-        self.link
-    }
-
-    /// Enables compressed uploads: each round, every client transmits only
-    /// a random `fraction` of its parameters (a fresh coordinate mask per
-    /// client per round), and the server averages per coordinate over the
-    /// clients that sent it. This is the related-work baseline of reduced
-    /// client updates / federated dropout ([4, 5] in the paper) — it
-    /// shrinks bytes but, unlike FHDnn, confers no channel robustness.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FedError::InvalidArgument`] if `fraction ∉ (0, 1]`.
-    pub fn set_upload_fraction(&mut self, fraction: f32) -> Result<()> {
-        if fraction <= 0.0 || fraction > 1.0 || fraction.is_nan() {
-            return Err(FedError::InvalidArgument(format!(
-                "upload fraction must be in (0, 1], got {fraction}"
-            )));
-        }
-        self.upload_fraction = fraction;
-        Ok(())
-    }
-
-    /// The global model.
-    pub fn global(&self) -> &Network {
-        &self.global
-    }
-
-    /// Mutable access to the global model (e.g. to corrupt the broadcast).
-    pub fn global_mut(&mut self) -> &mut Network {
-        &mut self.global
-    }
-
-    /// Upload size of one client update in bytes (float32 parameters,
-    /// scaled by the upload fraction when compression is enabled).
-    pub fn update_bytes(&self) -> u64 {
+    fn update_bytes(&self) -> u64 {
         let full = self.global.num_params() as f64 * 4.0;
         (full * self.upload_fraction as f64).ceil() as u64
     }
 
-    /// The full worker: broadcast-clone, local SGD, uplink transmission
-    /// (full or compressed) — everything between client selection and the
-    /// round barrier. Touches no federation state, so the pool can run it
-    /// on any thread.
-    #[allow(clippy::too_many_arguments)]
-    fn run_client_task(
-        mut task: ClientTask,
-        global: &Network,
-        data: &ImageDataset,
-        local_epochs: usize,
-        batch_size: usize,
-        lr: f32,
-        sgd: LocalSgdConfig,
-        upload_fraction: f32,
-        channel: &dyn Channel,
-    ) -> Result<ClientOutcome> {
-        let stats = ChannelStats::new();
-        // Broadcast: the client starts from its own copy of the global
-        // model (the serial engine reused one scratch network; a clone is
-        // the parallel-safe equivalent).
-        let mut net = {
-            let span = task.buf.begin("round.broadcast");
-            let clone = global.clone();
-            task.buf.end(span);
-            clone
-        };
-        let update = {
-            let span = task.buf.begin("round.local_train");
-            let mut opt = Sgd::new(lr)
-                .momentum(sgd.momentum)
-                .weight_decay(sgd.weight_decay);
-            let batcher = Batcher::new(data.len(), batch_size);
-            for _ in 0..local_epochs {
-                for batch in batcher.epoch(&mut task.rng) {
-                    let subset = data.subset(&batch)?;
-                    net.zero_grad();
-                    let logits = net.forward(&subset.images, Mode::Train)?;
-                    let out = cross_entropy(&logits, &subset.labels)?;
-                    net.backward(&out.grad)?;
-                    opt.step(&mut net)?;
-                }
+    /// FedAvg broadcasts the full float32 parameter vector downlink.
+    fn downlink_bytes(&self) -> u64 {
+        self.broadcast.len() as u64 * 4
+    }
+
+    fn client_flops(&self, client: usize) -> u64 {
+        self.per_sample_flops * self.clients[client].len() as u64 * self.local_epochs as u64
+    }
+
+    fn begin_round(&mut self, round: usize, tel: &Recorder) -> Result<()> {
+        (self.averaged, self.sums) = (Vec::new(), None);
+        {
+            let _span = tel.span("round.broadcast");
+            self.broadcast = self.global.flatten_params();
+        }
+        self.lr = self.lr_schedule.lr_at(round, self.sgd.learning_rate);
+        let mut dims = self.clients[0].images.dims().to_vec();
+        dims[0] = 1;
+        self.per_sample_flops = fhdnn_nn::flops::training_flops(&self.global, &dims)?;
+        Ok(())
+    }
+
+    fn broadcast(&self, _client: usize) -> Result<Network> {
+        Ok(self.global.clone())
+    }
+
+    fn local_update(&self, client: usize, net: &mut Network, rng: &mut StdRng) -> Result<()> {
+        let data = &self.clients[client];
+        let mut opt = Sgd::new(self.lr)
+            .momentum(self.sgd.momentum)
+            .weight_decay(self.sgd.weight_decay);
+        let batcher = Batcher::new(data.len(), self.batch_size);
+        for _ in 0..self.local_epochs {
+            for batch in batcher.epoch(rng) {
+                let subset = data.subset(&batch)?;
+                net.zero_grad();
+                let logits = net.forward(&subset.images, Mode::Train)?;
+                let out = cross_entropy(&logits, &subset.labels)?;
+                net.backward(&out.grad)?;
+                opt.step(net)?;
             }
-            task.buf.end(span);
-            net.flatten_params()
-        };
+        }
+        Ok(())
+    }
+
+    fn transmit(&self, net: Network, up: &mut Uplink<'_>) -> Result<CnnUpdate> {
+        let update = net.flatten_params();
         let num_params = update.len();
-        let span = task.buf.begin("round.transmit");
-        let (payload, indices) = if upload_fraction >= 1.0 {
-            let mut payload = update;
-            {
-                // Uplink through the unreliable channel.
-                let up = task.buf.begin("chan.uplink");
-                channel.transmit_f32_stats(&mut payload, &mut task.rng, &stats);
-                task.buf.end(up);
-            }
-            (payload, None)
+        let (mut payload, indices) = if self.upload_fraction >= 1.0 {
+            (update, None)
         } else {
             // Compressed upload: a fresh random coordinate subset.
-            let keep =
-                ((num_params as f64 * upload_fraction as f64).ceil() as usize).clamp(1, num_params);
+            let keep = ((num_params as f64 * self.upload_fraction as f64).ceil() as usize)
+                .clamp(1, num_params);
             let mut indices: Vec<usize> = (0..num_params).collect();
-            indices.shuffle(&mut task.rng);
+            indices.shuffle(up.rng);
             indices.truncate(keep);
-            let mut payload: Vec<f32> = indices.iter().map(|&i| update[i]).collect();
-            {
-                let up = task.buf.begin("chan.uplink");
-                channel.transmit_f32_stats(&mut payload, &mut task.rng, &stats);
-                task.buf.end(up);
-            }
-            (payload, Some(indices))
+            (indices.iter().map(|&i| update[i]).collect(), Some(indices))
         };
-        task.buf.end(span);
-        Ok(ClientOutcome {
-            weight: data.len() as f64,
+        let span = up.buf.begin("chan.uplink");
+        up.channel
+            .transmit_f32_stats(&mut payload, up.rng, up.stats);
+        up.buf.end(span);
+        Ok(CnnUpdate {
             payload,
             indices,
             running_state: net.running_state(),
-            buf: task.buf,
-            stats: stats.snapshot(),
         })
     }
 
-    /// Runs one communication round with the given uplink channel,
-    /// returning the per-round metrics (evaluated on `test`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates training and evaluation failures.
-    pub fn run_round(
-        &mut self,
-        channel: &dyn Channel,
-        test: &ImageDataset,
-    ) -> Result<RoundMetrics> {
-        let tel = self.telemetry.clone();
-        // Round timing flows through the injectable telemetry clock, so
-        // a ManualClock makes `round_seconds` fully deterministic.
-        let tick = tel.now_micros();
-        // Self-metering baselines: the deltas emitted at round end prove
-        // (or disprove) that events/round is O(1) in the cohort size.
-        let events_before = tel.events_emitted();
-        let sink_bytes_before = tel.sink_bytes_written();
-        let trace_dropped_before = tel.counter_value("trace.dropped");
-        let chan_before = self.channel_stats.snapshot();
-        // Per-round memory watermark. Measured unconditionally: the
-        // tracked allocator's counters are pure atomics, so reading them
-        // cannot perturb the seeded RNG stream or the model bits.
-        let mem = fhdnn_telemetry::mem::watermark();
-        // Root span: stage spans nest under `round` for the profiler's tree.
-        let round_span = tel.span("round");
-        let broadcast = {
-            let _span = tel.span("round.broadcast");
-            self.global.flatten_params()
-        };
-        let participants = sample_clients(
-            self.config.num_clients,
-            self.config.participants_per_round(),
-            &mut self.rng,
-        )?;
-        // FedAvg broadcasts the full float32 parameter vector downlink.
-        let downlink_bytes = broadcast.len() as u64 * 4;
-        // One seed per round, split into one independent stream per
-        // client id: scheduling order cannot change what anyone samples,
-        // and the master RNG advances identically at every thread count.
-        let round_seed: u64 = self.rng.next_u64();
-        let lr = self.lr_schedule.lr_at(self.round, self.sgd.learning_rate);
-        // Fleet mode hands every task an inert buffer: per-client spans
-        // and counters cost one branch and are never emitted, while the
-        // round-level channel accounting below survives through the
-        // task-local `ChannelStats` snapshots.
-        let tasks: Vec<ClientTask> = participants
-            .iter()
-            .map(|&client| ClientTask {
-                client,
-                rng: StdRng::seed_from_u64(split_seed(round_seed, client as u64)),
-                buf: if self.fleet_telemetry {
-                    Recorder::disabled().task_buffer()
-                } else {
-                    tel.task_buffer()
-                },
-            })
-            .collect();
-        let threads = resolve_threads(self.threads);
-        // Simulated-lane inputs, fixed before the pool borrows the
-        // model: one SGD step on a single sample costs `per_sample_flops`
-        // on the configured device; the LTE link costs one (full-vector
-        // or compressed) update's uplink airtime.
-        let per_sample_flops = {
-            let mut dims = self.clients[0].images.dims().to_vec();
-            dims[0] = 1;
-            fhdnn_nn::flops::training_flops(&self.global, &dims)?
-        };
-        let sim_uplink_micros =
-            (self.link.airtime_seconds(self.update_bytes()) * 1e6).round() as u64;
-        let (global, clients) = (&self.global, &self.clients);
-        let (local_epochs, batch_size) = (self.config.local_epochs, self.config.batch_size);
-        let (sgd, upload_fraction) = (self.sgd, self.upload_fraction);
-        let outcomes = run_tasks_traced(tasks, threads, &tel, |_, task| {
-            let data = &clients[task.client];
-            Self::run_client_task(
-                task,
-                global,
-                data,
-                local_epochs,
-                batch_size,
-                lr,
-                sgd,
-                upload_fraction,
-                channel,
-            )
+    fn fold(&mut self, client: usize, update: CnnUpdate) {
+        let weight = self.clients[client].len() as f64;
+        let sums = self.sums.get_or_insert_with(|| Sums {
+            acc: vec![0.0; self.broadcast.len()],
+            weights: vec![0.0; self.broadcast.len()],
+            state_acc: vec![0.0; update.running_state.len()],
+            state_weight: 0.0,
         });
-        // Fixed-order reduction: fold outcomes in participant order so
-        // telemetry replay, channel accounting and the weighted f64 sums
-        // below are thread-count-invariant.
-        let mut acc: Vec<f64> = vec![0.0; broadcast.len()];
-        let mut weights: Vec<f64> = vec![0.0; broadcast.len()];
-        let mut state_acc: Vec<f64> = vec![0.0; self.global.running_state().len()];
-        let mut state_weight = 0.0f64;
-        // Health bookkeeping (per-client deltas vs the broadcast) is pure
-        // arithmetic over values the round computes anyway; gated on an
-        // enabled recorder so uninstrumented runs pay nothing. Fleet mode
-        // bounds the materialized deltas — each one is a full model-sized
-        // vector — with a seeded reservoir, so memory stays O(sample ×
-        // model) however many clients participate.
-        let mut client_deltas: Vec<Vec<f32>> = Vec::new();
-        let mut delta_ids: Vec<usize> = Vec::new();
-        let mut reservoir =
-            Reservoir::new(FLEET_DIVERGENCE_SAMPLE, split_seed(round_seed, u64::MAX));
-        // Fleet aggregation state: one constant-size sketch set absorbs a
-        // per-client observation at each fold step, in the same fixed
-        // participant order as everything else at this barrier.
-        let mut sketches = RoundSketches::new();
-        let mut rows: Vec<TaskTrace> = Vec::with_capacity(participants.len());
-        // Outcomes come back in task order == participant order, so the
-        // zip recovers each client id without widening ClientOutcome.
-        for ((outcome, timing), &client) in outcomes.into_iter().zip(&participants) {
-            let outcome = outcome?;
-            tel.absorb_task(outcome.buf);
-            self.channel_stats.absorb(&outcome.stats);
-            // Simulated device cost is pure arithmetic over already-drawn
-            // state, so rows (and the RoundMetrics trace fields below)
-            // are identical with or without a recorder attached.
-            let flops = per_sample_flops * outcome.weight as u64 * local_epochs as u64;
-            let sim_compute_micros =
-                (self.device.estimate(flops as f64)?.seconds * 1e6).round() as u64;
-            if tel.enabled() {
-                let damage = outcome.stats.bits_flipped
-                    + outcome.stats.dims_erased
-                    + outcome.stats.packets_dropped;
-                sketches.absorb_client(
-                    client as u64,
-                    self.update_bytes(),
-                    damage,
-                    sim_compute_micros,
-                    sim_compute_micros + sim_uplink_micros,
-                );
-                self.cohort.insert(client as u64);
-            }
-            rows.push(TaskTrace {
-                round: self.round as u64,
-                client: client as u64,
-                engine: "fedavg".into(),
-                // FedAvg as configured has no stragglers: every sampled
-                // client's update reaches the server.
-                arrived: true,
-                timing,
-                sim_compute_micros,
-                sim_uplink_micros,
-            });
-            // Which reservoir slot (if any) this client's delta lands in:
-            // every slot in non-fleet mode, a bounded seeded sample under
-            // fleet mode. Decided before computing the delta so skipped
-            // clients never materialize one.
-            let slot = if !tel.enabled() {
-                None
-            } else if self.fleet_telemetry {
-                match reservoir.offer() {
-                    Sample::Keep(slot) => Some(slot),
-                    Sample::Skip => None,
-                }
-            } else {
-                Some(client_deltas.len())
-            };
-            match &outcome.indices {
-                None => {
-                    for (i, &u) in outcome.payload.iter().enumerate() {
-                        acc[i] += outcome.weight * u as f64;
-                        weights[i] += outcome.weight;
-                    }
-                    if let Some(slot) = slot {
-                        let delta = elementwise_delta(&outcome.payload, &broadcast);
-                        place_delta(&mut client_deltas, &mut delta_ids, slot, delta, client);
-                    }
-                }
-                Some(indices) => {
-                    for (&i, &u) in indices.iter().zip(&outcome.payload) {
-                        acc[i] += outcome.weight * u as f64;
-                        weights[i] += outcome.weight;
-                    }
-                    if let Some(slot) = slot {
-                        // Unsent coordinates contribute zero delta.
-                        let mut delta = vec![0.0f32; broadcast.len()];
-                        for (&i, &u) in indices.iter().zip(&outcome.payload) {
-                            delta[i] = u - broadcast[i];
-                        }
-                        place_delta(&mut client_deltas, &mut delta_ids, slot, delta, client);
-                    }
+        match &update.indices {
+            None => {
+                for (i, &u) in update.payload.iter().enumerate() {
+                    sums.acc[i] += weight * u as f64;
+                    sums.weights[i] += weight;
                 }
             }
-            for (s, &v) in state_acc.iter_mut().zip(&outcome.running_state) {
-                *s += outcome.weight * v as f64;
+            Some(indices) => {
+                for (&i, &u) in indices.iter().zip(&update.payload) {
+                    sums.acc[i] += weight * u as f64;
+                    sums.weights[i] += weight;
+                }
             }
-            state_weight += outcome.weight;
         }
+        for (s, &v) in sums.state_acc.iter_mut().zip(&update.running_state) {
+            *s += weight * v as f64;
+        }
+        sums.state_weight += weight;
+    }
+
+    fn finish_aggregate(&mut self) -> Result<()> {
+        let Some(sums) = self.sums.take() else {
+            return Ok(());
+        };
         // Coordinates nobody sent keep their previous global value.
-        let averaged: Vec<f32> = {
-            let _span = tel.span("round.aggregate");
-            let averaged: Vec<f32> = acc
+        let sent = sums.acc.iter().zip(&sums.weights);
+        self.averaged = sent
+            .zip(&self.broadcast)
+            .map(|((&a, &w), &prev)| if w > 0.0 { (a / w) as f32 } else { prev })
+            .collect();
+        self.global.load_params(&self.averaged)?;
+        // Batch-norm running statistics never ride the (lossy) uplink
+        // model update; the server folds them as the same weighted mean
+        // so evaluation tracks the clients' activation statistics.
+        if sums.state_weight > 0.0 && !sums.state_acc.is_empty() {
+            let mean_state: Vec<f32> = sums
+                .state_acc
                 .iter()
-                .zip(&weights)
-                .zip(&broadcast)
-                .map(|((&a, &w), &prev)| if w > 0.0 { (a / w) as f32 } else { prev })
+                .map(|&s| (s / sums.state_weight) as f32)
                 .collect();
-            self.global.load_params(&averaged)?;
-            // Batch-norm running statistics never ride the (lossy) uplink
-            // model update; the server folds them as the same weighted
-            // mean so evaluation tracks the clients' activation statistics.
-            if state_weight > 0.0 && !state_acc.is_empty() {
-                let mean_state: Vec<f32> = state_acc
-                    .iter()
-                    .map(|&s| (s / state_weight) as f32)
-                    .collect();
-                self.global.load_running_state(&mean_state)?;
-            }
-            averaged
-        };
-
-        let test_accuracy = {
-            let _span = tel.span("round.eval");
-            self.evaluate(test)?
-        };
-        drop(round_span);
-        // Close the watermark before the health block below: its delta
-        // covers the round's compute, not the diagnostics about it.
-        let mem_delta = mem.finish();
-        let mem_bytes_per_client = mem_delta.alloc_bytes / participants.len().max(1) as u64;
-        // Round anatomy: simulated critical path is deterministic at any
-        // thread count; the measured half is zero without a recorder.
-        let trace_summary = fhdnn_telemetry::trace::summarize_round(&rows);
-
-        if tel.enabled() {
-            tel.incr("fl.rounds", 1);
-            tel.incr("fl.participants", participants.len() as u64);
-            tel.incr(
-                "fl.bytes_up",
-                self.update_bytes() * participants.len() as u64,
-            );
-            tel.incr("fl.bytes_down", downlink_bytes * participants.len() as u64);
-            tel.gauge("fl.test_accuracy", test_accuracy as f64);
-            tel.incr("mem.allocs", mem_delta.allocs);
-            tel.incr("mem.alloc_bytes", mem_delta.alloc_bytes);
-            tel.gauge("mem.peak_bytes", mem_delta.peak_bytes as f64);
-            tel.gauge(
-                "mem.live_bytes",
-                fhdnn_telemetry::mem::stats().live_bytes as f64,
-            );
-            let chan_delta = self.channel_stats.snapshot().delta(&chan_before);
-            crate::emit_channel_delta(&tel, chan_delta);
-
-            // Execution trace: one event per task (dual-lane timing) plus
-            // the round's critical-path summary, all on the main thread
-            // in participant order so replays are thread-count-stable.
-            // Fleet mode keeps only the O(1) summary — the per-task rows
-            // are exactly the O(clients) emission being suppressed; their
-            // worst offenders survive in the exemplar samplers.
-            if !self.fleet_telemetry {
-                for row in &rows {
-                    tel.record_task_trace(row.clone());
-                }
-            }
-            tel.incr("trace.tasks", rows.len() as u64);
-            tel.gauge("trace.worker_utilization", trace_summary.worker_utilization);
-            tel.event(
-                EVENT_TRACE_ROUND,
-                &[
-                    ("critical_client", trace_summary.critical_client.into()),
-                    ("engine", trace_summary.engine.as_str().into()),
-                    ("queue_depth_max", trace_summary.queue_depth_max.into()),
-                    ("round", trace_summary.round.into()),
-                    (
-                        "sim_critical_micros",
-                        trace_summary.sim_critical_micros.into(),
-                    ),
-                    ("sim_round_micros", trace_summary.sim_round_micros.into()),
-                    ("tasks", trace_summary.tasks.into()),
-                    (
-                        "worker_utilization",
-                        trace_summary.worker_utilization.into(),
-                    ),
-                    ("workers", trace_summary.workers.into()),
-                ],
-            );
-
-            // Flight record: the CNN has no class prototypes, so the HD
-            // diagnostics degrade to whole-vector statistics (single norm,
-            // sign flips over all parameters, no saturation/margin).
-            let aggregate_delta = elementwise_delta(&averaged, &broadcast);
-            let mut div = divergence_summary(&client_deltas, &aggregate_delta, &delta_ids);
-            sketches.absorb_divergence(&div);
-            if self.fleet_telemetry {
-                div.outliers.truncate(FLEET_MAX_OUTLIERS);
-            }
-            let (norm_min, norm_max, norm_mean) =
-                norm_stats(&[fhdnn_hdc::health::l2_norm(&averaged)]);
-            let mut record = HealthRecord {
-                round: self.round as u64,
-                engine: "fedavg".into(),
-                test_accuracy: test_accuracy as f64,
-                participants: participants.len() as u64,
-                arrived: participants.len() as u64,
-                norm_min,
-                norm_max,
-                norm_mean,
-                saturation: 0.0,
-                cosine_margin: 1.0,
-                sign_flip_rate: fhdnn_hdc::health::sign_flip_rate_slices(&averaged, &broadcast)
-                    as f64,
-                mean_divergence: div.mean,
-                max_abs_z: div.max_abs_z,
-                outlier_clients: div.outliers,
-                bits_flipped: chan_delta.bits_flipped,
-                dims_erased: chan_delta.dims_erased,
-                packets_dropped: chan_delta.packets_dropped,
-                noise_energy: chan_delta.noise_energy,
-                mem_peak_bytes: mem_delta.peak_bytes,
-                mem_allocs: mem_delta.allocs,
-                mem_bytes_per_client,
-                cohort_clients: self.cohort.estimate_rounded(),
-                trace_dropped: tel
-                    .counter_value("trace.dropped")
-                    .saturating_sub(trace_dropped_before),
-                ..HealthRecord::default()
-            };
-            sketches.apply(&mut record);
-            record.emit(&tel);
-            emit_alerts(&tel, &self.alerts.observe(&record.to_sample()));
-            tel.observe("fl.round_micros", tel.now_micros().saturating_sub(tick));
-            // The observability layer meters itself: everything emitted
-            // this round, as seen by the sink. The two `incr`s below are a
-            // constant under-count (they cannot observe themselves).
-            tel.incr(
-                "telemetry.overhead.events",
-                tel.events_emitted().saturating_sub(events_before),
-            );
-            tel.incr(
-                "telemetry.overhead.jsonl_bytes",
-                tel.sink_bytes_written().saturating_sub(sink_bytes_before),
-            );
+            self.global.load_running_state(&mean_state)?;
         }
-
-        let metrics = RoundMetrics {
-            round: self.round,
-            test_accuracy,
-            participants: participants.len(),
-            bytes_per_client: self.update_bytes(),
-            downlink_bytes_per_client: downlink_bytes,
-            round_seconds: tel.now_micros().saturating_sub(tick) as f64 / 1e6,
-            mem_peak_bytes: mem_delta.peak_bytes,
-            mem_allocs: mem_delta.allocs,
-            mem_bytes_per_client,
-            trace_critical_client: trace_summary.critical_client,
-            trace_sim_round_micros: trace_summary.sim_round_micros,
-            trace_worker_utilization: trace_summary.worker_utilization,
-        };
-        self.round += 1;
-        Ok(metrics)
+        Ok(())
     }
 
-    /// Runs the configured number of rounds, returning the full history.
-    ///
-    /// # Errors
-    ///
-    /// Propagates round failures.
-    pub fn run(
-        &mut self,
-        channel: &dyn Channel,
-        test: &ImageDataset,
-        label: impl Into<String>,
-    ) -> Result<RunHistory> {
-        let mut history = RunHistory::new(label);
-        for _ in 0..self.config.rounds {
-            history.push(self.run_round(channel, test)?);
-        }
-        Ok(history)
-    }
-
-    /// Test-set accuracy of the current global model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward-pass failures.
-    pub fn evaluate(&mut self, test: &ImageDataset) -> Result<f32> {
+    fn evaluate(&mut self, test: &ImageDataset) -> Result<f32> {
         // Evaluate in chunks to bound peak memory.
         let chunk = 256;
         let mut correct_weighted = 0.0f32;
@@ -755,35 +265,150 @@ impl CnnFederation {
             correct_weighted / seen as f32
         })
     }
-}
 
-/// Writes a reservoir-kept divergence delta into its slot: slots arrive
-/// in fill order first (append), then replace existing entries — exactly
-/// the contract of [`Reservoir::offer`].
-fn place_delta(
-    deltas: &mut Vec<Vec<f32>>,
-    ids: &mut Vec<usize>,
-    slot: usize,
-    delta: Vec<f32>,
-    client: usize,
-) {
-    if slot == deltas.len() {
-        deltas.push(delta);
-        ids.push(client);
-    } else {
-        deltas[slot] = delta;
-        ids[slot] = client;
+    fn client_delta(&self, update: &CnnUpdate) -> Vec<f32> {
+        match &update.indices {
+            None => elementwise_delta(&update.payload, &self.broadcast),
+            Some(indices) => {
+                // Unsent coordinates contribute zero delta.
+                let mut delta = vec![0.0f32; self.broadcast.len()];
+                for (&i, &u) in indices.iter().zip(&update.payload) {
+                    delta[i] = u - self.broadcast[i];
+                }
+                delta
+            }
+        }
+    }
+
+    /// The CNN has no class prototypes, so the HD diagnostics degrade to
+    /// whole-vector statistics (single norm, no saturation or margin).
+    fn health(&self) -> Result<ModelHealth<'_>> {
+        Ok(ModelHealth {
+            baseline: &self.broadcast,
+            params: &self.averaged,
+            norms: norm_stats(&[fhdnn_hdc::health::l2_norm(&self.averaged)]),
+            saturation: 0.0,
+            cosine_margin: 1.0,
+        })
     }
 }
 
-/// Corrupts the model broadcast itself (downlink), used by ablations; the
-/// paper assumes an error-free downlink, so the main experiments never
-/// call this.
-pub fn corrupt_broadcast(net: &mut Network, channel: &dyn Channel, rng: &mut StdRng) -> Result<()> {
-    let mut params = net.flatten_params();
-    channel.transmit_f32(&mut params, rng);
-    net.load_params(&params)?;
-    Ok(())
+impl CnnFederation {
+    /// Creates a federation from a freshly-initialized network and one
+    /// dataset per client.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the config is invalid or the client count does
+    /// not match `config.num_clients`.
+    pub fn new(
+        global: Network,
+        clients: Vec<ImageDataset>,
+        config: FlConfig,
+        sgd: LocalSgdConfig,
+    ) -> Result<Self> {
+        // Conventional FL must transmit coded: the paper's error-free link.
+        let driver = RoundDriver::new(config, clients.len(), LteLink::error_free())?;
+        if clients.iter().any(ImageDataset::is_empty) {
+            return Err(FedError::InvalidArgument("a client has no data".into()));
+        }
+        let alg = FedAvg {
+            global,
+            clients,
+            local_epochs: config.local_epochs,
+            batch_size: config.batch_size,
+            sgd,
+            upload_fraction: 1.0,
+            lr_schedule: LrSchedule::Constant,
+            lr: sgd.learning_rate,
+            per_sample_flops: 0,
+            broadcast: Vec::new(),
+            averaged: Vec::new(),
+            sums: None,
+        };
+        Ok(CnnFederation { driver, alg })
+    }
+
+    driver_accessors!();
+
+    /// Sets the per-round learning-rate schedule applied on top of the
+    /// configured base rate (e.g. cosine annealing across the federated
+    /// rounds).
+    pub fn set_lr_schedule(&mut self, schedule: LrSchedule) {
+        self.alg.lr_schedule = schedule;
+    }
+
+    /// Enables compressed uploads: each round, every client transmits only
+    /// a random `fraction` of its parameters (a fresh coordinate mask per
+    /// client per round), and the server averages per coordinate over the
+    /// clients that sent it. This is the related-work baseline of reduced
+    /// client updates / federated dropout ([4, 5] in the paper) — it
+    /// shrinks bytes but, unlike FHDnn, confers no channel robustness.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FedError::InvalidArgument`] if `fraction ∉ (0, 1]`.
+    pub fn set_upload_fraction(&mut self, fraction: f32) -> Result<()> {
+        if fraction <= 0.0 || fraction > 1.0 || fraction.is_nan() {
+            return Err(FedError::InvalidArgument(format!(
+                "upload fraction must be in (0, 1], got {fraction}"
+            )));
+        }
+        self.alg.upload_fraction = fraction;
+        Ok(())
+    }
+
+    /// The global model.
+    pub fn global(&self) -> &Network {
+        &self.alg.global
+    }
+
+    /// Upload size of one client update in bytes (float32 parameters,
+    /// scaled by the upload fraction when compression is enabled).
+    pub fn update_bytes(&self) -> u64 {
+        self.alg.update_bytes()
+    }
+
+    /// Runs one communication round with the given uplink channel,
+    /// returning the per-round metrics (evaluated on `test`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates training and evaluation failures.
+    pub fn run_round(
+        &mut self,
+        channel: &dyn Channel,
+        test: &ImageDataset,
+    ) -> Result<RoundMetrics> {
+        self.driver.run_round(&mut self.alg, channel, test)
+    }
+
+    /// Runs the configured number of rounds, returning the full history.
+    ///
+    /// # Errors
+    ///
+    /// Propagates round failures.
+    pub fn run(
+        &mut self,
+        channel: &dyn Channel,
+        test: &ImageDataset,
+        label: impl Into<String>,
+    ) -> Result<RunHistory> {
+        let mut history = RunHistory::new(label);
+        for _ in 0..self.driver.rounds() {
+            history.push(self.run_round(channel, test)?);
+        }
+        Ok(history)
+    }
+
+    /// Test-set accuracy of the current global model.
+    ///
+    /// # Errors
+    ///
+    /// Propagates forward-pass failures.
+    pub fn evaluate(&mut self, test: &ImageDataset) -> Result<f32> {
+        self.alg.evaluate(test)
+    }
 }
 
 /// Builds per-client [`ImageDataset`]s from a global pool and an index
@@ -806,6 +431,7 @@ mod tests {
     use fhdnn_datasets::image::SynthSpec;
     use fhdnn_datasets::partition::Partition;
     use fhdnn_nn::models::small_cnn;
+    use rand::SeedableRng;
 
     fn tiny_setup(num_clients: usize, seed: u64) -> (CnnFederation, ImageDataset) {
         let spec = SynthSpec::mnist_like();

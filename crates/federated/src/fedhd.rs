@@ -2,53 +2,42 @@
 //!
 //! Clients hold *pre-encoded* hypervectors: the CNN feature extractor is
 //! frozen and never transmitted, so encoding happens once per client and
-//! only the HD model `C = [c_1; …; c_K]` crosses the network. Each round:
+//! only the HD model `C = [c_1; …; c_K]` crosses the network. The round
+//! protocol itself lives in the crate-private `round` module; this module
+//! supplies the two HD rules it drives:
 //!
-//! 1. **Broadcast** — the server sends the global HD model.
-//! 2. **Local updates** — each sampled client sets its model to the global
-//!    one and trains for `E` epochs (one-shot bundling on first contact,
-//!    then iterative refinement).
-//! 3. **Aggregation** — the server bundles the received client models.
-//!    Prototypes are aggregated by averaging over participants; cosine
-//!    similarity inference is scale-invariant, so this matches the paper's
-//!    sum (Eq. 1) while keeping float magnitudes bounded over hundreds of
-//!    rounds.
-//!
-//! [`HdTransport::Binary`] rounds run a separate *integer* engine: clients
-//! refine `i32` sign-counter prototypes, the wire carries the bit-packed
-//! sign words directly (no float detour), and the server folds a
-//! majority vote per dimension. [`HdExecution`] selects between the
-//! SIMD-backed packed learner and the element-wise reference oracle —
-//! both produce bit-identical campaigns (`tests/parity.rs`).
+//! - **Dense** ([`HdTransport::Float`] / [`HdTransport::Quantized`]) —
+//!   each client sets its model to the global one and trains for `E`
+//!   epochs (one-shot bundling on first contact, then iterative
+//!   refinement); the server bundles the received models, averaging over
+//!   participants: cosine inference is scale-invariant, so this matches
+//!   the paper's sum (Eq. 1) while keeping float magnitudes bounded over
+//!   hundreds of rounds.
+//! - **Binary** ([`HdTransport::Binary`]) — a separate *integer* engine:
+//!   clients refine `i32` sign-counter prototypes, the wire carries the
+//!   bit-packed sign words directly (no float detour), and the server
+//!   folds a majority vote per dimension. [`HdExecution`] selects, once at
+//!   construction, between the SIMD-backed packed learner and the
+//!   element-wise reference oracle — both produce bit-identical
+//!   campaigns (`tests/parity.rs`).
 
 use fhdnn_channel::lte::LteLink;
-use fhdnn_channel::{Channel, ChannelStats, ChannelStatsSnapshot};
+use fhdnn_channel::Channel;
 use fhdnn_hdc::model::HdModel;
 use fhdnn_hdc::packed::{
     pack_signs_i32, reference::ReferenceHdModel, words_for, PackedBatch, PackedHdModel, WORD_BITS,
 };
 use fhdnn_hdc::quantizer::{dequantize_into, quantize};
-use fhdnn_telemetry::alert::{emit_alerts, AlertEngine};
-use fhdnn_telemetry::registry::EVENT_TRACE_ROUND;
-use fhdnn_telemetry::task::TaskBuffer;
-use fhdnn_telemetry::trace::TaskTrace;
-use fhdnn_telemetry::{Recorder, Telemetry};
+use fhdnn_telemetry::Recorder;
 use fhdnn_tensor::Tensor;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use fhdnn_telemetry::sketch::DistinctEstimator;
-
 use crate::config::{FlConfig, HdExecution};
-use crate::cost::{hd_refine_flops, DeviceProfile};
-use crate::health::{
-    divergence_summary, elementwise_delta, HealthRecord, RoundSketches, FLEET_MAX_OUTLIERS,
-    SATURATION_EPSILON,
-};
+use crate::cost::hd_refine_flops;
+use crate::health::{elementwise_delta, norm_stats, SATURATION_EPSILON};
 use crate::metrics::{RoundMetrics, RunHistory};
-use crate::parallel::{resolve_threads, run_tasks_traced, split_seed};
-use crate::sampling::sample_clients;
+use crate::round::{driver_accessors, Algorithm, ModelHealth, RoundDriver, Uplink};
 use crate::{FedError, Result};
 
 /// How an HD model is serialized on the uplink.
@@ -131,63 +120,512 @@ impl HdClientData {
 /// ```
 #[derive(Debug)]
 pub struct HdFederation {
+    driver: RoundDriver,
+    engine: HdEngine,
+}
+
+/// The HD rule this federation runs, chosen once in [`HdFederation::new`]
+/// from the transport and `config.execution`.
+#[derive(Debug)]
+enum HdEngine {
+    Dense(Hd<Dense>),
+    Packed(Hd<Packed>),
+    Reference(Hd<Reference>),
+}
+
+/// What the HD rules share, and the [`Algorithm`] the driver sees: the
+/// global model (float prototypes — under the binary rules exactly
+/// integer-valued, they only ever hold majority-vote counts), the
+/// clients, the wire format and the round's arrivals.
+#[derive(Debug)]
+struct Hd<R: HdRule> {
     global: HdModel,
     clients: Vec<HdClientData>,
-    config: FlConfig,
     transport: HdTransport,
-    rng: StdRng,
-    round: usize,
-    straggler_prob: f64,
-    adaptive_lr: Option<f32>,
-    threads: usize,
-    device: DeviceProfile,
-    link: LteLink,
-    telemetry: Telemetry,
-    channel_stats: ChannelStats,
-    alerts: AlertEngine,
-    fleet_telemetry: bool,
-    cohort: DistinctEstimator,
-    /// `Some` iff the transport is `Binary`: per-client encodings for
-    /// the integer engine selected by `config.execution`.
-    binary: Option<BinaryData>,
+    local_epochs: usize,
+    rule: R,
+    received: Vec<R::Update>,
+    /// The round-start prototypes client deltas and the sign-flip rate
+    /// are measured against; refreshed only under an enabled recorder.
+    baseline: Vec<f32>,
 }
 
-/// One participant's unit of round work, shipped to a pool worker.
-struct ClientTask {
-    client: usize,
-    rng: StdRng,
-    buf: TaskBuffer,
+/// What differs between the HD rules.
+trait HdRule: Sync {
+    /// A client's working copy of the model.
+    type Local;
+    /// What reaches the server from one client.
+    type Update: Send + Sync + std::fmt::Debug;
+
+    /// Fixes the form in which `global` is broadcast this round.
+    fn begin_round(&mut self, _global: &HdModel) {}
+    /// A client's copy of the broadcast model.
+    fn broadcast(&self, global: &HdModel) -> Result<Self::Local>;
+    /// `epochs` of local training on `client`'s `data`.
+    fn train(
+        &self,
+        client: usize,
+        data: &HdClientData,
+        local: &mut Self::Local,
+        epochs: usize,
+    ) -> Result<()>;
+    /// Serializes the trained model and sends it through the uplink.
+    fn transmit(&self, local: Self::Local, up: &mut Uplink<'_>) -> Result<Self::Update>;
+    /// The update's delta from `baseline`, in its wire view.
+    fn delta(update: &Self::Update, baseline: &[f32]) -> Vec<f32>;
+    /// The new global model from the arrived updates, in arrival order.
+    fn aggregate(received: &[Self::Update], global: &mut HdModel) -> Result<()>;
+    /// Test accuracy of `global`.
+    fn accuracy(global: &HdModel, test: &HdClientData) -> Result<f32>;
 }
 
-/// What one arrived client update looks like at the round barrier.
-enum ClientUpdate {
-    /// Dense float prototypes (`Float`/`Quantized` transports).
-    Dense(HdModel),
-    /// Packed sign words straight off the wire (`Binary` transport):
-    /// `num_classes` rows of `words_for(dim)` words each, plus a
-    /// parallel erasure bitmask (set bit = dimension lost in transit,
-    /// contributes nothing to the majority vote).
-    Bits { words: Vec<u64>, erased: Vec<u64> },
+impl<R: HdRule> Hd<R> {
+    fn new(
+        global: HdModel,
+        clients: Vec<HdClientData>,
+        transport: HdTransport,
+        local_epochs: usize,
+        rule: R,
+    ) -> Self {
+        Hd {
+            global,
+            clients,
+            transport,
+            local_epochs,
+            rule,
+            received: Vec::new(),
+            baseline: Vec::new(),
+        }
+    }
 }
 
-/// What comes back from a worker at the round barrier.
-struct ClientOutcome {
-    client: usize,
-    /// `None` when the client straggled (its update never arrived).
-    update: Option<ClientUpdate>,
-    buf: TaskBuffer,
-    stats: ChannelStatsSnapshot,
+impl<R: HdRule> Algorithm for Hd<R> {
+    type Test = HdClientData;
+    type Local = R::Local;
+    type Update = R::Update;
+    const ENGINE: &'static str = "fedhd";
+
+    fn update_bytes(&self) -> u64 {
+        self.transport
+            .update_bytes(self.global.num_classes(), self.global.dim())
+    }
+
+    /// The server broadcasts float prototypes over a reliable downlink
+    /// (base stations transmit at much higher power than devices — the
+    /// paper models the uplink as the lossy direction).
+    fn downlink_bytes(&self) -> u64 {
+        self.global.num_params() as u64 * 4
+    }
+
+    fn client_flops(&self, client: usize) -> u64 {
+        let (classes, dim) = (self.global.num_classes() as u64, self.global.dim() as u64);
+        hd_refine_flops(self.clients[client].len() as u64, classes, dim) * self.local_epochs as u64
+    }
+
+    fn packed_uplink_words(&self) -> u64 {
+        match self.transport {
+            HdTransport::Binary => {
+                (self.global.num_classes() * words_for(self.global.dim())) as u64
+            }
+            HdTransport::Float | HdTransport::Quantized { .. } => 0,
+        }
+    }
+
+    fn begin_round(&mut self, _round: usize, tel: &Recorder) -> Result<()> {
+        // A pure read — the seeded RNG streams are untouched, so runs
+        // with and without a recorder stay identical.
+        if tel.enabled() {
+            self.baseline = self.global.prototypes().as_slice().to_vec();
+        }
+        self.rule.begin_round(&self.global);
+        self.received.clear();
+        Ok(())
+    }
+
+    fn broadcast(&self, _client: usize) -> Result<R::Local> {
+        self.rule.broadcast(&self.global)
+    }
+
+    fn local_update(&self, client: usize, local: &mut R::Local, _rng: &mut StdRng) -> Result<()> {
+        let data = &self.clients[client];
+        self.rule.train(client, data, local, self.local_epochs)
+    }
+
+    fn transmit(&self, local: R::Local, up: &mut Uplink<'_>) -> Result<R::Update> {
+        self.rule.transmit(local, up)
+    }
+
+    fn fold(&mut self, _client: usize, update: R::Update) {
+        self.received.push(update);
+    }
+
+    fn finish_aggregate(&mut self) -> Result<()> {
+        let done = R::aggregate(&self.received, &mut self.global);
+        self.received.clear();
+        done
+    }
+
+    fn evaluate(&mut self, test: &HdClientData) -> Result<f32> {
+        R::accuracy(&self.global, test)
+    }
+
+    fn client_delta(&self, update: &R::Update) -> Vec<f32> {
+        R::delta(update, &self.baseline)
+    }
+
+    fn health(&self) -> Result<ModelHealth<'_>> {
+        let saturation = match self.transport {
+            HdTransport::Quantized { bitwidth } => {
+                fhdnn_hdc::health::saturation_fraction(&self.global, bitwidth, SATURATION_EPSILON)?
+                    as f64
+            }
+            // Float transmits no quantized counters; Binary carries raw
+            // sign bits (saturation is meaningless).
+            HdTransport::Float | HdTransport::Binary => 0.0,
+        };
+        Ok(ModelHealth {
+            baseline: &self.baseline,
+            params: self.global.prototypes().as_slice(),
+            norms: norm_stats(&fhdnn_hdc::health::row_norms(&self.global)?),
+            saturation,
+            cosine_margin: fhdnn_hdc::health::cosine_margin(&self.global)? as f64,
+        })
+    }
 }
 
-/// Pre-encoded per-client training data for the binary engine, built
-/// once at construction when the transport is [`HdTransport::Binary`] —
-/// encoding happens once per client, never per round.
+/// The dense rule: float prototypes refined locally, sent raw or through
+/// the AGC quantizer, bundled and averaged.
 #[derive(Debug)]
-enum BinaryData {
-    /// Bit-packed hypervectors per client (the SIMD hot path).
-    Packed(Vec<PackedBatch>),
-    /// ±1 integer hypervectors per client (the differential oracle).
-    Reference(Vec<Vec<Vec<i32>>>),
+struct Dense {
+    /// `Some(B)` sends `B`-bit quantized words, `None` raw floats.
+    bitwidth: Option<u32>,
+    adaptive_lr: Option<f32>,
+}
+
+impl HdRule for Dense {
+    type Local = HdModel;
+    type Update = HdModel;
+
+    fn broadcast(&self, global: &HdModel) -> Result<HdModel> {
+        Ok(global.clone())
+    }
+
+    fn train(
+        &self,
+        _client: usize,
+        data: &HdClientData,
+        local: &mut HdModel,
+        epochs: usize,
+    ) -> Result<()> {
+        // An untrained (all-zero) model bootstraps by one-shot bundling;
+        // afterwards the paper's refinement loop takes over.
+        let untrained = local.prototypes().as_slice().iter().all(|&v| v == 0.0);
+        if untrained {
+            local.one_shot_train(&data.hypervectors, &data.labels)?;
+        }
+        for _ in 0..epochs {
+            match self.adaptive_lr {
+                Some(lr) => local.refine_epoch_adaptive(&data.hypervectors, &data.labels, lr)?,
+                None => local.refine_epoch(&data.hypervectors, &data.labels)?,
+            };
+        }
+        Ok(())
+    }
+
+    fn transmit(&self, mut model: HdModel, up: &mut Uplink<'_>) -> Result<HdModel> {
+        let Some(bitwidth) = self.bitwidth else {
+            let span = up.buf.begin("chan.uplink");
+            let payload = model.prototypes_mut().as_mut_slice();
+            up.channel.transmit_f32_stats(payload, up.rng, up.stats);
+            up.buf.end(span);
+            return Ok(model);
+        };
+        // `quantize_instrumented` rebuilt on the task buffer: the same
+        // `hdc.quantize` span and extreme-word counters.
+        let span = up.buf.begin("hdc.quantize");
+        let mut q = quantize(&model, bitwidth)?;
+        if up.buf.enabled() {
+            let max_word = q.max_word();
+            let saturated = q.words.iter().filter(|w| w.abs() == max_word).count() as u64;
+            let zeroed = q.words.iter().filter(|&&w| w == 0).count() as u64;
+            up.buf.incr("hdc.quant.saturated_words", saturated);
+            up.buf.incr("hdc.quant.zeroed_words", zeroed);
+        }
+        up.buf.end(span);
+        let span = up.buf.begin("chan.uplink");
+        up.channel
+            .transmit_words_stats(&mut q.words, bitwidth, up.rng, up.stats);
+        up.buf.end(span);
+        dequantize_into(&q, &mut model)?;
+        Ok(model)
+    }
+
+    fn delta(update: &HdModel, baseline: &[f32]) -> Vec<f32> {
+        elementwise_delta(update.prototypes().as_slice(), baseline)
+    }
+
+    /// Bundle then normalize by the arrival count: cosine inference is
+    /// scale-invariant, so mean == the paper's sum, numerically tame.
+    fn aggregate(received: &[HdModel], global: &mut HdModel) -> Result<()> {
+        let mut bundled = HdModel::bundle(received)?;
+        bundled.scale(1.0 / received.len() as f32);
+        *global = bundled;
+        Ok(())
+    }
+
+    fn accuracy(global: &HdModel, test: &HdClientData) -> Result<f32> {
+        Ok(global.accuracy(&test.hypervectors, &test.labels)?)
+    }
+}
+
+/// One binary update straight off the wire: per class a row of
+/// `words_for(dim)` sign words, plus a parallel erasure bitmask (set bit =
+/// dimension lost in transit, abstains from the majority vote).
+#[derive(Debug)]
+struct SignRows {
+    words: Vec<u64>,
+    erased: Vec<u64>,
+    dim: usize,
+}
+
+impl SignRows {
+    /// Pushes packed sign rows through the channel's packed route — the
+    /// wire format *is* the in-memory representation.
+    fn send(mut words: Vec<u64>, dim: usize, up: &mut Uplink<'_>) -> SignRows {
+        let stride = words_for(dim);
+        let mut erased = vec![0u64; words.len()];
+        let span = up.buf.begin("chan.uplink");
+        for (words, erased) in words.chunks_mut(stride).zip(erased.chunks_mut(stride)) {
+            up.channel
+                .transmit_packed_stats(words, erased, dim, up.rng, up.stats);
+        }
+        up.buf.end(span);
+        SignRows { words, erased, dim }
+    }
+
+    /// Class `c`'s sign words and erasure mask.
+    fn row(&self, c: usize) -> (&[u64], &[u64]) {
+        let stride = words_for(self.dim);
+        let row = c * stride..(c + 1) * stride;
+        (&self.words[row.clone()], &self.erased[row])
+    }
+
+    /// Binary updates diverge as their ±1/0 sign view (0 for erased
+    /// dimensions) — the dense magnitude never crossed the wire, so
+    /// diagnosing against it would be fiction.
+    fn delta(&self, baseline: &[f32]) -> Vec<f32> {
+        let mut view = vec![0.0f32; baseline.len()];
+        for (c, view) in view.chunks_mut(self.dim).enumerate() {
+            let (words, erased) = self.row(c);
+            for (i, v) in view.iter_mut().enumerate() {
+                let (w, b) = (i / WORD_BITS, i % WORD_BITS);
+                *v = if erased[w] >> b & 1 == 1 {
+                    0.0
+                } else if words[w] >> b & 1 == 1 {
+                    1.0
+                } else {
+                    -1.0
+                };
+            }
+        }
+        elementwise_delta(&view, baseline)
+    }
+}
+
+/// The global model as the binary rules broadcast it: integer counters
+/// (a lossless conversion, see [`Hd`]), taken once per round.
+#[derive(Debug, Default)]
+struct Counters {
+    counts: Vec<i32>,
+    /// All zero: clients bootstrap by one-shot bundling before the
+    /// paper's refinement loop takes over.
+    untrained: bool,
+}
+
+impl Counters {
+    fn of(global: &HdModel) -> Self {
+        let protos = global.prototypes().as_slice();
+        let counts: Vec<i32> = protos.iter().map(|&v| v as i32).collect();
+        let untrained = counts.iter().all(|&v| v == 0);
+        Counters { counts, untrained }
+    }
+}
+
+/// The vote counts become the new global verbatim — sign-dot inference
+/// is scale-invariant, so the 1/n normalization of the dense rule is
+/// unnecessary and would destroy integer exactness.
+fn store_votes(global: &mut HdModel, votes: &[i32]) {
+    let protos = global.prototypes_mut().as_mut_slice();
+    for (dst, &v) in protos.iter_mut().zip(votes) {
+        *dst = v as f32;
+    }
+}
+
+/// The binary rule on the SIMD hot path: clients refine `i32`
+/// sign-counter prototypes over hypervectors bit-packed once at
+/// construction, and the server folds a per-dimension majority vote.
+#[derive(Debug)]
+struct Packed {
+    batches: Vec<PackedBatch>,
+    broadcast: Counters,
+}
+
+impl HdRule for Packed {
+    type Local = PackedHdModel;
+    type Update = SignRows;
+
+    fn begin_round(&mut self, global: &HdModel) {
+        self.broadcast = Counters::of(global);
+    }
+
+    fn broadcast(&self, global: &HdModel) -> Result<PackedHdModel> {
+        let counts = self.broadcast.counts.clone();
+        Ok(PackedHdModel::from_counts(
+            counts,
+            global.num_classes(),
+            global.dim(),
+        )?)
+    }
+
+    fn train(
+        &self,
+        client: usize,
+        data: &HdClientData,
+        local: &mut PackedHdModel,
+        epochs: usize,
+    ) -> Result<()> {
+        let batch = &self.batches[client];
+        if self.broadcast.untrained {
+            local.one_shot_train(batch, &data.labels)?;
+        }
+        for _ in 0..epochs {
+            local.refine_epoch(batch, &data.labels)?;
+        }
+        Ok(())
+    }
+
+    fn transmit(&self, local: PackedHdModel, up: &mut Uplink<'_>) -> Result<SignRows> {
+        // The packed rows are already the wire payload — one memcpy per
+        // class, no re-encoding.
+        let mut words = Vec::with_capacity(local.num_classes() * words_for(local.dim()));
+        for c in 0..local.num_classes() {
+            words.extend_from_slice(local.packed_row(c));
+        }
+        Ok(SignRows::send(words, local.dim(), up))
+    }
+
+    fn delta(update: &SignRows, baseline: &[f32]) -> Vec<f32> {
+        update.delta(baseline)
+    }
+
+    fn aggregate(received: &[SignRows], global: &mut HdModel) -> Result<()> {
+        let mut agg = PackedHdModel::new(global.num_classes(), global.dim())?;
+        for rows in received {
+            for c in 0..global.num_classes() {
+                let (words, erased) = rows.row(c);
+                agg.vote_row(c, words, erased);
+            }
+        }
+        agg.repack_all();
+        store_votes(global, agg.protos());
+        Ok(())
+    }
+
+    fn accuracy(global: &HdModel, test: &HdClientData) -> Result<f32> {
+        let counts = Counters::of(global).counts;
+        let model = PackedHdModel::from_counts(counts, global.num_classes(), global.dim())?;
+        let batch = PackedBatch::from_tensor(&test.hypervectors)?;
+        Ok(model.accuracy(&batch, &test.labels)? as f32)
+    }
+}
+
+/// The binary rule on the element-wise `i32` oracle: the same integer
+/// algorithm and identical wire words as [`Packed`] (`tests/parity.rs`
+/// pins that bit-for-bit), over ±1 integer hypervectors.
+#[derive(Debug)]
+struct Reference {
+    vectors: Vec<Vec<Vec<i32>>>,
+    broadcast: Counters,
+}
+
+impl Reference {
+    fn model(counts: Vec<i32>, global: &HdModel) -> ReferenceHdModel {
+        ReferenceHdModel {
+            protos: counts,
+            num_classes: global.num_classes(),
+            dim: global.dim(),
+        }
+    }
+}
+
+impl HdRule for Reference {
+    type Local = ReferenceHdModel;
+    type Update = SignRows;
+
+    fn begin_round(&mut self, global: &HdModel) {
+        self.broadcast = Counters::of(global);
+    }
+
+    fn broadcast(&self, global: &HdModel) -> Result<ReferenceHdModel> {
+        Ok(Self::model(self.broadcast.counts.clone(), global))
+    }
+
+    fn train(
+        &self,
+        client: usize,
+        data: &HdClientData,
+        local: &mut ReferenceHdModel,
+        epochs: usize,
+    ) -> Result<()> {
+        let vectors = &self.vectors[client];
+        if self.broadcast.untrained {
+            local.one_shot_train(vectors, &data.labels);
+        }
+        for _ in 0..epochs {
+            local.refine_epoch(vectors, &data.labels);
+        }
+        Ok(())
+    }
+
+    fn transmit(&self, local: ReferenceHdModel, up: &mut Uplink<'_>) -> Result<SignRows> {
+        let mut words = Vec::with_capacity(local.num_classes * words_for(local.dim));
+        for row in local.protos.chunks(local.dim) {
+            words.extend_from_slice(&pack_signs_i32(row));
+        }
+        Ok(SignRows::send(words, local.dim, up))
+    }
+
+    fn delta(update: &SignRows, baseline: &[f32]) -> Vec<f32> {
+        update.delta(baseline)
+    }
+
+    fn aggregate(received: &[SignRows], global: &mut HdModel) -> Result<()> {
+        let dim = global.dim();
+        let mut votes = vec![0i32; global.num_params()];
+        for rows in received {
+            for (c, votes) in votes.chunks_mut(dim).enumerate() {
+                let (words, erased) = rows.row(c);
+                fhdnn_hdc::simd::scalar::vote_pm1_masked(votes, words, erased);
+            }
+        }
+        store_votes(global, &votes);
+        Ok(())
+    }
+
+    fn accuracy(global: &HdModel, test: &HdClientData) -> Result<f32> {
+        let model = Self::model(Counters::of(global).counts, global);
+        Ok(model.accuracy(&test.hypervectors, &test.labels)? as f32)
+    }
+}
+
+/// The ±1 sign view (`sign(0) = +1`) of each row of `[m, dim]` encodings.
+fn sign_rows(hypervectors: &Tensor) -> Result<Vec<Vec<i32>>> {
+    (0..hypervectors.dims()[0])
+        .map(|r| {
+            let row = hypervectors.row(r)?;
+            Ok(row.iter().map(|&v| if v >= 0.0 { 1 } else { -1 }).collect())
+        })
+        .collect()
 }
 
 impl HdFederation {
@@ -203,14 +641,8 @@ impl HdFederation {
         config: FlConfig,
         transport: HdTransport,
     ) -> Result<Self> {
-        config.validate()?;
-        if clients.len() != config.num_clients {
-            return Err(FedError::InvalidArgument(format!(
-                "{} client datasets for {} configured clients",
-                clients.len(),
-                config.num_clients
-            )));
-        }
+        // FHDnn transmits uncoded: the paper's error-admitting link.
+        let driver = RoundDriver::new(config, clients.len(), LteLink::error_admitting())?;
         for (i, c) in clients.iter().enumerate() {
             if c.is_empty() {
                 return Err(FedError::InvalidArgument(format!("client {i} has no data")));
@@ -224,91 +656,62 @@ impl HdFederation {
                 )));
             }
         }
-        let binary = match transport {
-            HdTransport::Binary => {
-                // The integer engine indexes prototypes by label
-                // directly, so range-check up front (the dense path
-                // defers this to `HdModel::one_shot_train`).
-                for (i, c) in clients.iter().enumerate() {
-                    if let Some(&bad) = c.labels.iter().find(|&&l| l >= global.num_classes()) {
-                        return Err(FedError::InvalidArgument(format!(
-                            "client {i}: label {bad} out of range for {} classes",
-                            global.num_classes()
-                        )));
-                    }
+        if transport == HdTransport::Binary {
+            // The integer learners index prototypes by label directly, so
+            // range-check up front (the dense rule defers this to
+            // `HdModel::one_shot_train`).
+            for (i, c) in clients.iter().enumerate() {
+                if let Some(&bad) = c.labels.iter().find(|&&l| l >= global.num_classes()) {
+                    return Err(FedError::InvalidArgument(format!(
+                        "client {i}: label {bad} out of range for {} classes",
+                        global.num_classes()
+                    )));
                 }
-                Some(match config.execution {
-                    HdExecution::Packed => BinaryData::Packed(
-                        clients
-                            .iter()
-                            .map(|c| PackedBatch::from_tensor(&c.hypervectors))
-                            .collect::<fhdnn_hdc::Result<_>>()?,
-                    ),
-                    HdExecution::Reference => {
-                        let mut per_client = Vec::with_capacity(clients.len());
-                        for c in &clients {
-                            let mut vectors = Vec::with_capacity(c.len());
-                            for r in 0..c.len() {
-                                vectors.push(
-                                    c.hypervectors
-                                        .row(r)?
-                                        .iter()
-                                        .map(|&v| if v >= 0.0 { 1 } else { -1 })
-                                        .collect::<Vec<i32>>(),
-                                );
-                            }
-                            per_client.push(vectors);
-                        }
-                        BinaryData::Reference(per_client)
-                    }
-                })
             }
-            _ => None,
+        }
+        let epochs = config.local_epochs;
+        let dense = |global, clients, bitwidth| {
+            let rule = Dense {
+                bitwidth,
+                adaptive_lr: None,
+            };
+            HdEngine::Dense(Hd::new(global, clients, transport, epochs, rule))
         };
-        let rng = StdRng::seed_from_u64(config.seed);
-        Ok(HdFederation {
-            global,
-            clients,
-            config,
-            transport,
-            rng,
-            round: 0,
-            straggler_prob: 0.0,
-            adaptive_lr: None,
-            threads: 1,
-            device: DeviceProfile::raspberry_pi_3b(),
-            link: LteLink::error_admitting(),
-            telemetry: Recorder::disabled(),
-            channel_stats: ChannelStats::new(),
-            alerts: AlertEngine::default(),
-            fleet_telemetry: false,
-            cohort: DistinctEstimator::new(),
-            binary,
-        })
+        let engine = match (transport, config.execution) {
+            (HdTransport::Float, _) => dense(global, clients, None),
+            (HdTransport::Quantized { bitwidth }, _) => dense(global, clients, Some(bitwidth)),
+            (HdTransport::Binary, HdExecution::Packed) => {
+                let batches = clients
+                    .iter()
+                    .map(|c| PackedBatch::from_tensor(&c.hypervectors))
+                    .collect::<fhdnn_hdc::Result<_>>()?;
+                let rule = Packed {
+                    batches,
+                    broadcast: Counters::default(),
+                };
+                HdEngine::Packed(Hd::new(global, clients, transport, epochs, rule))
+            }
+            (HdTransport::Binary, HdExecution::Reference) => {
+                let vectors = clients
+                    .iter()
+                    .map(|c| sign_rows(&c.hypervectors))
+                    .collect::<Result<_>>()?;
+                let rule = Reference {
+                    vectors,
+                    broadcast: Counters::default(),
+                };
+                HdEngine::Reference(Hd::new(global, clients, transport, epochs, rule))
+            }
+        };
+        Ok(HdFederation { driver, engine })
     }
 
-    /// Attaches a telemetry recorder; subsequent rounds emit spans,
-    /// counters and gauges through it. Defaults to the shared disabled
-    /// recorder (no-ops).
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// The attached telemetry recorder.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
-    /// Cumulative realized channel impairments across all transmissions
-    /// so far (bits flipped, dimensions erased, packets dropped, noise
-    /// energy).
-    pub fn channel_stats(&self) -> ChannelStatsSnapshot {
-        self.channel_stats.snapshot()
-    }
+    driver_accessors!();
 
     /// Switches local refinement to the adaptive (OnlineHD-style)
     /// confidence-weighted rule with the given learning rate; `None`
-    /// restores the paper's unit-step refinement.
+    /// restores the paper's unit-step refinement. The binary transport's
+    /// integer refinement has no step size and ignores it.
     ///
     /// # Errors
     ///
@@ -321,7 +724,9 @@ impl HdFederation {
                 )));
             }
         }
-        self.adaptive_lr = lr;
+        if let HdEngine::Dense(hd) = &mut self.engine {
+            hd.rule.adaptive_lr = lr;
+        }
         Ok(())
     }
 
@@ -339,316 +744,26 @@ impl HdFederation {
                 "straggler probability must be in [0, 1), got {prob}"
             )));
         }
-        self.straggler_prob = prob;
+        self.driver.straggler_prob = prob;
         Ok(())
-    }
-
-    /// Sets how many pool threads run per-round client work: `0` means
-    /// auto (the machine's available parallelism), `1` (the default)
-    /// runs inline on the caller's thread. Round results are
-    /// byte-identical at every thread count — per-client RNG streams are
-    /// split from the round seed and the barrier reduces in fixed
-    /// participant order — so this is purely a wall-clock knob.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads;
-    }
-
-    /// The configured thread-count knob (`0` = auto).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Switches telemetry to fleet mode: per-client emission (per-task
-    /// spans/counters, `trace.task` rows, unbounded outlier lists) is
-    /// suppressed in favor of the constant-size sketch summaries already
-    /// folded into every [`HealthRecord`], so events per round are O(1)
-    /// in the cohort size. Sketch percentiles, exemplars, and round-level
-    /// counters are unaffected.
-    pub fn set_fleet_telemetry(&mut self, fleet: bool) {
-        self.fleet_telemetry = fleet;
-    }
-
-    /// Whether fleet-mode telemetry suppression is active.
-    pub fn fleet_telemetry(&self) -> bool {
-        self.fleet_telemetry
-    }
-
-    /// Sets the simulated AIoT device whose throughput costs each
-    /// client's local-training FLOPs on the trace's simulated lane.
-    /// Defaults to the paper's Raspberry Pi 3b profile.
-    pub fn set_device_profile(&mut self, device: DeviceProfile) {
-        self.device = device;
-    }
-
-    /// The simulated AIoT device profile.
-    pub fn device_profile(&self) -> &DeviceProfile {
-        &self.device
-    }
-
-    /// Sets the simulated LTE uplink whose airtime costs each arrived
-    /// update on the trace's simulated lane. Defaults to the paper's
-    /// error-admitting (5.0 Mbit/s) link — FHDnn transmits uncoded.
-    pub fn set_lte_link(&mut self, link: LteLink) {
-        self.link = link;
-    }
-
-    /// The simulated LTE uplink.
-    pub fn lte_link(&self) -> LteLink {
-        self.link
     }
 
     /// The global HD model.
     pub fn global(&self) -> &HdModel {
-        &self.global
+        match &self.engine {
+            HdEngine::Dense(hd) => &hd.global,
+            HdEngine::Packed(hd) => &hd.global,
+            HdEngine::Reference(hd) => &hd.global,
+        }
     }
 
     /// Upload size of one client update in bytes.
     pub fn update_bytes(&self) -> u64 {
-        self.transport
-            .update_bytes(self.global.num_classes(), self.global.dim())
-    }
-
-    /// Local update on one client's data, starting from the broadcast
-    /// copy of the global model. Worker-side: touches no federation
-    /// state, so the pool can run it on any thread.
-    fn train_client(
-        data: &HdClientData,
-        local_epochs: usize,
-        adaptive_lr: Option<f32>,
-        mut local: HdModel,
-    ) -> Result<HdModel> {
-        // An untrained (all-zero) model bootstraps by one-shot bundling;
-        // afterwards the paper's refinement loop takes over.
-        let untrained = local.prototypes().as_slice().iter().all(|&v| v == 0.0);
-        if untrained {
-            local.one_shot_train(&data.hypervectors, &data.labels)?;
+        match &self.engine {
+            HdEngine::Dense(hd) => hd.update_bytes(),
+            HdEngine::Packed(hd) => hd.update_bytes(),
+            HdEngine::Reference(hd) => hd.update_bytes(),
         }
-        for _ in 0..local_epochs {
-            match adaptive_lr {
-                Some(lr) => {
-                    local.refine_epoch_adaptive(&data.hypervectors, &data.labels, lr)?;
-                }
-                None => {
-                    local.refine_epoch(&data.hypervectors, &data.labels)?;
-                }
-            }
-        }
-        Ok(local)
-    }
-
-    /// Sends one client update through the uplink. Worker-side: noise is
-    /// drawn from the client's split RNG stream, damage is accounted to
-    /// the task-local `stats`, and spans/counters go to the task buffer.
-    fn transmit_update(
-        model: &mut HdModel,
-        transport: HdTransport,
-        channel: &dyn Channel,
-        rng: &mut StdRng,
-        stats: &ChannelStats,
-        buf: &mut TaskBuffer,
-    ) -> Result<()> {
-        match transport {
-            HdTransport::Float => {
-                let span = buf.begin("chan.uplink");
-                channel.transmit_f32_stats(model.prototypes_mut().as_mut_slice(), rng, stats);
-                buf.end(span);
-            }
-            HdTransport::Quantized { bitwidth } => {
-                // `quantize_instrumented` rebuilt on the task buffer: the
-                // same `hdc.quantize` span and extreme-word counters.
-                let span = buf.begin("hdc.quantize");
-                let mut q = quantize(model, bitwidth)?;
-                if buf.enabled() {
-                    let max_word = q.max_word();
-                    let saturated = q.words.iter().filter(|w| w.abs() == max_word).count() as u64;
-                    let zeroed = q.words.iter().filter(|&&w| w == 0).count() as u64;
-                    buf.incr("hdc.quant.saturated_words", saturated);
-                    buf.incr("hdc.quant.zeroed_words", zeroed);
-                }
-                buf.end(span);
-                {
-                    let span = buf.begin("chan.uplink");
-                    channel.transmit_words_stats(&mut q.words, bitwidth, rng, stats);
-                    buf.end(span);
-                }
-                dequantize_into(&q, model)?;
-            }
-            HdTransport::Binary => {
-                // Binary rounds never reach the dense worker: `run_round`
-                // dispatches them to `run_binary_client_task`.
-                return Err(FedError::InvalidArgument(
-                    "binary transport uses the packed worker".into(),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// The full worker: broadcast-clone, local training, straggler draw,
-    /// uplink transmission — everything between client selection and the
-    /// round barrier.
-    #[allow(clippy::too_many_arguments)]
-    fn run_client_task(
-        mut task: ClientTask,
-        global: &HdModel,
-        data: &HdClientData,
-        local_epochs: usize,
-        adaptive_lr: Option<f32>,
-        transport: HdTransport,
-        straggler_prob: f64,
-        channel: &dyn Channel,
-    ) -> Result<ClientOutcome> {
-        let stats = ChannelStats::new();
-        let broadcast = {
-            let span = task.buf.begin("round.broadcast");
-            let clone = global.clone();
-            task.buf.end(span);
-            clone
-        };
-        let mut local = {
-            let span = task.buf.begin("round.local_train");
-            let trained = Self::train_client(data, local_epochs, adaptive_lr, broadcast);
-            task.buf.end(span);
-            trained?
-        };
-        let straggled = straggler_prob > 0.0 && task.rng.gen_bool(straggler_prob);
-        let update = if straggled {
-            None // straggler: update never arrives
-        } else {
-            let span = task.buf.begin("round.transmit");
-            let sent = Self::transmit_update(
-                &mut local,
-                transport,
-                channel,
-                &mut task.rng,
-                &stats,
-                &mut task.buf,
-            );
-            task.buf.end(span);
-            sent?;
-            Some(ClientUpdate::Dense(local))
-        };
-        Ok(ClientOutcome {
-            client: task.client,
-            update,
-            buf: task.buf,
-            stats: stats.snapshot(),
-        })
-    }
-
-    /// The binary-engine worker: rebuild the broadcast counters as an
-    /// integer model, train (one-shot bootstrap on the first contact,
-    /// then the paper's refinement), serialize the per-class sign rows
-    /// as packed words, and push those words — the wire format *is* the
-    /// in-memory representation — through the channel's packed route.
-    ///
-    /// The `Packed` and `Reference` executions run the same integer
-    /// algorithm and serialize identical wire words; `tests/parity.rs`
-    /// pins that bit-for-bit.
-    #[allow(clippy::too_many_arguments)]
-    fn run_binary_client_task(
-        mut task: ClientTask,
-        counts: &[i32],
-        bootstrap: bool,
-        num_classes: usize,
-        dim: usize,
-        data: &BinaryData,
-        labels: &[usize],
-        local_epochs: usize,
-        straggler_prob: f64,
-        channel: &dyn Channel,
-    ) -> Result<ClientOutcome> {
-        let stats = ChannelStats::new();
-        let stride = words_for(dim);
-        let words = match data {
-            BinaryData::Packed(batches) => {
-                let batch = &batches[task.client];
-                let mut local = {
-                    let span = task.buf.begin("round.broadcast");
-                    let model = PackedHdModel::from_counts(counts.to_vec(), num_classes, dim);
-                    task.buf.end(span);
-                    model?
-                };
-                {
-                    let span = task.buf.begin("round.local_train");
-                    let trained = (|| -> Result<()> {
-                        if bootstrap {
-                            local.one_shot_train(batch, labels)?;
-                        }
-                        for _ in 0..local_epochs {
-                            local.refine_epoch(batch, labels)?;
-                        }
-                        Ok(())
-                    })();
-                    task.buf.end(span);
-                    trained?;
-                }
-                // The packed rows are already the wire payload — one
-                // memcpy per class, no re-encoding.
-                let mut words = Vec::with_capacity(num_classes * stride);
-                for c in 0..num_classes {
-                    words.extend_from_slice(local.packed_row(c));
-                }
-                words
-            }
-            BinaryData::Reference(clients) => {
-                let vectors = &clients[task.client];
-                let mut local = {
-                    let span = task.buf.begin("round.broadcast");
-                    let model = ReferenceHdModel {
-                        protos: counts.to_vec(),
-                        num_classes,
-                        dim,
-                    };
-                    task.buf.end(span);
-                    model
-                };
-                {
-                    let span = task.buf.begin("round.local_train");
-                    if bootstrap {
-                        local.one_shot_train(vectors, labels);
-                    }
-                    for _ in 0..local_epochs {
-                        local.refine_epoch(vectors, labels);
-                    }
-                    task.buf.end(span);
-                }
-                let mut words = Vec::with_capacity(num_classes * stride);
-                for c in 0..num_classes {
-                    words.extend_from_slice(&pack_signs_i32(&local.protos[c * dim..(c + 1) * dim]));
-                }
-                words
-            }
-        };
-        let straggled = straggler_prob > 0.0 && task.rng.gen_bool(straggler_prob);
-        let update = if straggled {
-            None // straggler: update never arrives
-        } else {
-            let span = task.buf.begin("round.transmit");
-            let mut words = words;
-            let mut erased = vec![0u64; num_classes * stride];
-            {
-                let inner = task.buf.begin("chan.uplink");
-                for c in 0..num_classes {
-                    channel.transmit_packed_stats(
-                        &mut words[c * stride..(c + 1) * stride],
-                        &mut erased[c * stride..(c + 1) * stride],
-                        dim,
-                        &mut task.rng,
-                        &stats,
-                    );
-                }
-                task.buf.end(inner);
-            }
-            task.buf.end(span);
-            Some(ClientUpdate::Bits { words, erased })
-        };
-        Ok(ClientOutcome {
-            client: task.client,
-            update,
-            buf: task.buf,
-            stats: stats.snapshot(),
-        })
     }
 
     /// Runs one communication round with the given uplink channel,
@@ -662,464 +777,11 @@ impl HdFederation {
         channel: &dyn Channel,
         test: &HdClientData,
     ) -> Result<RoundMetrics> {
-        let tel = self.telemetry.clone();
-        // Round timing flows through the injectable telemetry clock, so
-        // a ManualClock makes `round_seconds` fully deterministic.
-        let tick = tel.now_micros();
-        // Self-metering baselines: the deltas emitted at round end prove
-        // (or disprove) that events/round is O(1) in the cohort size.
-        let events_before = tel.events_emitted();
-        let sink_bytes_before = tel.sink_bytes_written();
-        let trace_dropped_before = tel.counter_value("trace.dropped");
-        let chan_before = self.channel_stats.snapshot();
-        // Per-round memory watermark. Measured unconditionally: the
-        // tracked allocator's counters are pure atomics, so reading them
-        // cannot perturb the seeded RNG stream or the model bits.
-        let mem = fhdnn_telemetry::mem::watermark();
-        // Root span: every stage span below nests under `round`, which is
-        // what lets the profiler rebuild the per-round call tree.
-        let round_span = tel.span("round");
-        let participants = sample_clients(
-            self.config.num_clients,
-            self.config.participants_per_round(),
-            &mut self.rng,
-        )?;
-        // The server broadcasts float prototypes over a reliable downlink
-        // (base stations transmit at much higher power than devices — the
-        // paper models the uplink as the lossy direction).
-        let downlink_bytes = self.global.num_params() as u64 * 4;
-        // The round-start global model doubles as the health baseline:
-        // client deltas and the sign-flip rate are measured against it.
-        // Pure reads only — the seeded RNG stream is untouched, so runs
-        // with and without a recorder stay identical.
-        let health_baseline: Option<Vec<f32>> = tel
-            .enabled()
-            .then(|| self.global.prototypes().as_slice().to_vec());
-        // One seed per round, split into one independent stream per
-        // client id: scheduling order cannot change what anyone samples,
-        // and the master RNG advances identically at every thread count.
-        let round_seed: u64 = self.rng.next_u64();
-        // Fleet mode hands every task an inert buffer: per-client spans
-        // and counters cost one branch and are never emitted, while the
-        // round-level channel accounting below survives through the
-        // task-local `ChannelStats` snapshots.
-        let tasks: Vec<ClientTask> = participants
-            .iter()
-            .map(|&client| ClientTask {
-                client,
-                rng: StdRng::seed_from_u64(split_seed(round_seed, client as u64)),
-                buf: if self.fleet_telemetry {
-                    Recorder::disabled().task_buffer()
-                } else {
-                    tel.task_buffer()
-                },
-            })
-            .collect();
-        let threads = resolve_threads(self.threads);
-        // Simulated-lane inputs, fixed before the pool borrows the
-        // model: the device profile costs each client's refinement
-        // FLOPs, the LTE link costs one update's uplink airtime.
-        let (num_classes, dim) = (self.global.num_classes(), self.global.dim());
-        let (classes, dim_u64) = (num_classes as u64, dim as u64);
-        let sim_uplink_micros =
-            (self.link.airtime_seconds(self.update_bytes()) * 1e6).round() as u64;
-        let (global, clients) = (&self.global, &self.clients);
-        let (local_epochs, adaptive_lr) = (self.config.local_epochs, self.adaptive_lr);
-        let (transport, straggler_prob) = (self.transport, self.straggler_prob);
-        // Binary rounds broadcast the global model as integer counters —
-        // the float prototypes are exactly integer-valued (they only
-        // ever hold majority-vote counts), so the conversion is lossless.
-        let binary = self.binary.as_ref();
-        let global_counts: Option<Vec<i32>> = binary.map(|_| {
-            self.global
-                .prototypes()
-                .as_slice()
-                .iter()
-                .map(|&v| v as i32)
-                .collect()
-        });
-        let bootstrap = global_counts
-            .as_ref()
-            .is_some_and(|c| c.iter().all(|&v| v == 0));
-        let outcomes = run_tasks_traced(tasks, threads, &tel, |_, task| {
-            let data = &clients[task.client];
-            match (binary, &global_counts) {
-                (Some(bin), Some(counts)) => Self::run_binary_client_task(
-                    task,
-                    counts,
-                    bootstrap,
-                    num_classes,
-                    dim,
-                    bin,
-                    &data.labels,
-                    local_epochs,
-                    straggler_prob,
-                    channel,
-                ),
-                _ => Self::run_client_task(
-                    task,
-                    global,
-                    data,
-                    local_epochs,
-                    adaptive_lr,
-                    transport,
-                    straggler_prob,
-                    channel,
-                ),
-            }
-        });
-        // Fixed-order reduction: fold outcomes in participant order so
-        // telemetry replay, channel accounting (non-associative f64 noise
-        // energy) and the aggregate below are thread-count-invariant.
-        let mut received: Vec<HdModel> = Vec::with_capacity(participants.len());
-        let mut received_bits: Vec<(Vec<u64>, Vec<u64>)> = Vec::with_capacity(participants.len());
-        let mut arrived_ids = Vec::with_capacity(participants.len());
-        let mut rows: Vec<TaskTrace> = Vec::with_capacity(participants.len());
-        // Fleet aggregation state: one constant-size sketch set absorbs a
-        // per-client observation at each fold step, in the same fixed
-        // participant order as everything else at this barrier.
-        let mut sketches = RoundSketches::new();
-        for (outcome, timing) in outcomes {
-            let outcome = outcome?;
-            tel.absorb_task(outcome.buf);
-            self.channel_stats.absorb(&outcome.stats);
-            // Simulated device cost is pure arithmetic over already-drawn
-            // state, so rows (and the RoundMetrics trace fields below)
-            // are identical with or without a recorder attached.
-            let samples = self.clients[outcome.client].len() as u64;
-            let flops = hd_refine_flops(samples, classes, dim_u64) * local_epochs as u64;
-            let sim_compute_micros =
-                (self.device.estimate(flops as f64)?.seconds * 1e6).round() as u64;
-            if tel.enabled() {
-                let arrived = outcome.update.is_some();
-                let uplink = if arrived { self.update_bytes() } else { 0 };
-                let damage = outcome.stats.bits_flipped
-                    + outcome.stats.dims_erased
-                    + outcome.stats.packets_dropped;
-                let sim_cost = sim_compute_micros + if arrived { sim_uplink_micros } else { 0 };
-                sketches.absorb_client(
-                    outcome.client as u64,
-                    uplink,
-                    damage,
-                    sim_compute_micros,
-                    sim_cost,
-                );
-                self.cohort.insert(outcome.client as u64);
-            }
-            rows.push(TaskTrace {
-                round: self.round as u64,
-                client: outcome.client as u64,
-                engine: "fedhd".into(),
-                arrived: outcome.update.is_some(),
-                timing,
-                sim_compute_micros,
-                sim_uplink_micros,
-            });
-            if let Some(update) = outcome.update {
-                arrived_ids.push(outcome.client);
-                match update {
-                    ClientUpdate::Dense(m) => received.push(m),
-                    ClientUpdate::Bits { words, erased } => received_bits.push((words, erased)),
-                }
-            }
+        match &mut self.engine {
+            HdEngine::Dense(hd) => self.driver.run_round(hd, channel, test),
+            HdEngine::Packed(hd) => self.driver.run_round(hd, channel, test),
+            HdEngine::Reference(hd) => self.driver.run_round(hd, channel, test),
         }
-        // Bundle then normalize by the participant count: cosine inference
-        // is scale-invariant, so mean == the paper's sum, numerically tame.
-        // If every participant straggled, keep the previous global model.
-        if !received.is_empty() {
-            let _span = tel.span("round.aggregate");
-            let n = received.len() as f32;
-            let mut bundled = HdModel::bundle(&received)?;
-            bundled.scale(1.0 / n);
-            self.global = bundled;
-        }
-        // Binary aggregation: per-dimension majority vote over the
-        // arrived sign rows, folded in fixed participant order. Erased
-        // dimensions abstain. The vote counts become the new global
-        // verbatim — sign-dot inference is scale-invariant, so the
-        // 1/n normalization of the dense path is unnecessary and
-        // would destroy integer exactness.
-        if !received_bits.is_empty() {
-            let _span = tel.span("round.aggregate");
-            let stride = words_for(dim);
-            let votes: Vec<i32> = match self.config.execution {
-                HdExecution::Packed => {
-                    let mut agg = PackedHdModel::new(num_classes, dim)?;
-                    for (words, erased) in &received_bits {
-                        for c in 0..num_classes {
-                            agg.vote_row(
-                                c,
-                                &words[c * stride..(c + 1) * stride],
-                                &erased[c * stride..(c + 1) * stride],
-                            );
-                        }
-                    }
-                    agg.repack_all();
-                    agg.protos().to_vec()
-                }
-                HdExecution::Reference => {
-                    let mut votes = vec![0i32; num_classes * dim];
-                    for (words, erased) in &received_bits {
-                        for c in 0..num_classes {
-                            fhdnn_hdc::simd::scalar::vote_pm1_masked(
-                                &mut votes[c * dim..(c + 1) * dim],
-                                &words[c * stride..(c + 1) * stride],
-                                &erased[c * stride..(c + 1) * stride],
-                            );
-                        }
-                    }
-                    votes
-                }
-            };
-            for (dst, &v) in self
-                .global
-                .prototypes_mut()
-                .as_mut_slice()
-                .iter_mut()
-                .zip(votes.iter())
-            {
-                *dst = v as f32;
-            }
-        }
-
-        let test_accuracy = {
-            let _span = tel.span("round.eval");
-            match &self.binary {
-                None => self.global.accuracy(&test.hypervectors, &test.labels)?,
-                Some(_) => {
-                    let counts: Vec<i32> = self
-                        .global
-                        .prototypes()
-                        .as_slice()
-                        .iter()
-                        .map(|&v| v as i32)
-                        .collect();
-                    match self.config.execution {
-                        HdExecution::Packed => {
-                            let model = PackedHdModel::from_counts(counts, num_classes, dim)?;
-                            let batch = PackedBatch::from_tensor(&test.hypervectors)?;
-                            model.accuracy(&batch, &test.labels)? as f32
-                        }
-                        HdExecution::Reference => {
-                            let model = ReferenceHdModel {
-                                protos: counts,
-                                num_classes,
-                                dim,
-                            };
-                            if test.labels.is_empty() {
-                                0.0
-                            } else {
-                                let mut correct = 0usize;
-                                for (r, &label) in test.labels.iter().enumerate() {
-                                    let h: Vec<i32> = test
-                                        .hypervectors
-                                        .row(r)?
-                                        .iter()
-                                        .map(|&v| if v >= 0.0 { 1 } else { -1 })
-                                        .collect();
-                                    if model.predict(&h) == label {
-                                        correct += 1;
-                                    }
-                                }
-                                (correct as f64 / test.labels.len() as f64) as f32
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        drop(round_span);
-        // Close the watermark before the health block below: its delta
-        // covers the round's compute, not the diagnostics about it.
-        let mem_delta = mem.finish();
-        let mem_bytes_per_client = mem_delta.alloc_bytes / participants.len().max(1) as u64;
-        // Round anatomy: simulated critical path is deterministic at any
-        // thread count; the measured half is zero without a recorder.
-        let trace_summary = fhdnn_telemetry::trace::summarize_round(&rows);
-
-        if tel.enabled() {
-            tel.incr("fl.rounds", 1);
-            tel.incr("fl.participants", participants.len() as u64);
-            let stragglers = participants.len() - arrived_ids.len();
-            if stragglers > 0 {
-                tel.incr("fl.stragglers", stragglers as u64);
-            }
-            // Uplink counts only updates that arrived; with stragglers
-            // disabled this equals `bytes_per_client × participants`, the
-            // `RunHistory` accounting.
-            tel.incr(
-                "fl.bytes_up",
-                self.update_bytes() * arrived_ids.len() as u64,
-            );
-            if self.binary.is_some() {
-                // Raw `u64` words that crossed the wire this round —
-                // the packed-transport view of `fl.bytes_up`.
-                tel.incr(
-                    "fl.packed_uplink_words",
-                    (num_classes * words_for(dim) * arrived_ids.len()) as u64,
-                );
-            }
-            tel.incr("fl.bytes_down", downlink_bytes * participants.len() as u64);
-            tel.gauge("fl.test_accuracy", test_accuracy as f64);
-            tel.incr("mem.allocs", mem_delta.allocs);
-            tel.incr("mem.alloc_bytes", mem_delta.alloc_bytes);
-            tel.gauge("mem.peak_bytes", mem_delta.peak_bytes as f64);
-            tel.gauge(
-                "mem.live_bytes",
-                fhdnn_telemetry::mem::stats().live_bytes as f64,
-            );
-            let chan_delta = self.channel_stats.snapshot().delta(&chan_before);
-            crate::emit_channel_delta(&tel, chan_delta);
-
-            // Execution trace: one event per task (dual-lane timing) plus
-            // the round's critical-path summary, all on the main thread
-            // in participant order so replays are thread-count-stable.
-            // Fleet mode keeps only the O(1) summary — the per-task rows
-            // are exactly the O(clients) emission being suppressed; their
-            // worst offenders survive in the exemplar samplers.
-            if !self.fleet_telemetry {
-                for row in &rows {
-                    tel.record_task_trace(row.clone());
-                }
-            }
-            tel.incr("trace.tasks", rows.len() as u64);
-            tel.gauge("trace.worker_utilization", trace_summary.worker_utilization);
-            tel.event(
-                EVENT_TRACE_ROUND,
-                &[
-                    ("critical_client", trace_summary.critical_client.into()),
-                    ("engine", trace_summary.engine.as_str().into()),
-                    ("queue_depth_max", trace_summary.queue_depth_max.into()),
-                    ("round", trace_summary.round.into()),
-                    (
-                        "sim_critical_micros",
-                        trace_summary.sim_critical_micros.into(),
-                    ),
-                    ("sim_round_micros", trace_summary.sim_round_micros.into()),
-                    ("tasks", trace_summary.tasks.into()),
-                    (
-                        "worker_utilization",
-                        trace_summary.worker_utilization.into(),
-                    ),
-                    ("workers", trace_summary.workers.into()),
-                ],
-            );
-
-            // Flight record: HD diagnostics on the new global model,
-            // client-divergence outliers, channel-damage attribution.
-            if let Some(baseline) = &health_baseline {
-                let new_params = self.global.prototypes().as_slice();
-                let aggregate_delta = elementwise_delta(new_params, baseline);
-                // Binary updates diverge as their ±1/0 sign view (0 for
-                // erased dimensions) — the dense magnitude never crossed
-                // the wire, so diagnosing against it would be fiction.
-                let deltas: Vec<Vec<f32>> = if self.binary.is_some() {
-                    let stride = words_for(dim);
-                    received_bits
-                        .iter()
-                        .map(|(words, erased)| {
-                            let mut view = vec![0.0f32; num_classes * dim];
-                            for c in 0..num_classes {
-                                for i in 0..dim {
-                                    let (w, b) = (c * stride + i / WORD_BITS, i % WORD_BITS);
-                                    view[c * dim + i] = if erased[w] >> b & 1 == 1 {
-                                        0.0
-                                    } else if words[w] >> b & 1 == 1 {
-                                        1.0
-                                    } else {
-                                        -1.0
-                                    };
-                                }
-                            }
-                            elementwise_delta(&view, baseline)
-                        })
-                        .collect()
-                } else {
-                    received
-                        .iter()
-                        .map(|m| elementwise_delta(m.prototypes().as_slice(), baseline))
-                        .collect()
-                };
-                let mut div = divergence_summary(&deltas, &aggregate_delta, &arrived_ids);
-                sketches.absorb_divergence(&div);
-                if self.fleet_telemetry {
-                    div.outliers.truncate(FLEET_MAX_OUTLIERS);
-                }
-                let norms = fhdnn_hdc::health::row_norms(&self.global)?;
-                let (norm_min, norm_max, norm_mean) = crate::health::norm_stats(&norms);
-                let saturation = match self.transport {
-                    HdTransport::Quantized { bitwidth } => fhdnn_hdc::health::saturation_fraction(
-                        &self.global,
-                        bitwidth,
-                        SATURATION_EPSILON,
-                    )? as f64,
-                    // Float transmits no quantized counters; Binary
-                    // carries raw sign bits (saturation is meaningless).
-                    HdTransport::Float | HdTransport::Binary => 0.0,
-                };
-                let mut record = HealthRecord {
-                    round: self.round as u64,
-                    engine: "fedhd".into(),
-                    test_accuracy: test_accuracy as f64,
-                    participants: participants.len() as u64,
-                    arrived: arrived_ids.len() as u64,
-                    norm_min,
-                    norm_max,
-                    norm_mean,
-                    saturation,
-                    cosine_margin: fhdnn_hdc::health::cosine_margin(&self.global)? as f64,
-                    sign_flip_rate: fhdnn_hdc::health::sign_flip_rate_slices(new_params, baseline)
-                        as f64,
-                    mean_divergence: div.mean,
-                    max_abs_z: div.max_abs_z,
-                    outlier_clients: div.outliers,
-                    bits_flipped: chan_delta.bits_flipped,
-                    dims_erased: chan_delta.dims_erased,
-                    packets_dropped: chan_delta.packets_dropped,
-                    noise_energy: chan_delta.noise_energy,
-                    mem_peak_bytes: mem_delta.peak_bytes,
-                    mem_allocs: mem_delta.allocs,
-                    mem_bytes_per_client,
-                    cohort_clients: self.cohort.estimate_rounded(),
-                    trace_dropped: tel
-                        .counter_value("trace.dropped")
-                        .saturating_sub(trace_dropped_before),
-                    ..HealthRecord::default()
-                };
-                sketches.apply(&mut record);
-                record.emit(&tel);
-                emit_alerts(&tel, &self.alerts.observe(&record.to_sample()));
-            }
-            tel.observe("fl.round_micros", tel.now_micros().saturating_sub(tick));
-            // The observability layer meters itself: everything emitted
-            // this round, as seen by the sink. The two `incr`s below are a
-            // constant under-count (they cannot observe themselves).
-            tel.incr(
-                "telemetry.overhead.events",
-                tel.events_emitted().saturating_sub(events_before),
-            );
-            tel.incr(
-                "telemetry.overhead.jsonl_bytes",
-                tel.sink_bytes_written().saturating_sub(sink_bytes_before),
-            );
-        }
-
-        let metrics = RoundMetrics {
-            round: self.round,
-            test_accuracy,
-            participants: participants.len(),
-            bytes_per_client: self.update_bytes(),
-            downlink_bytes_per_client: downlink_bytes,
-            round_seconds: tel.now_micros().saturating_sub(tick) as f64 / 1e6,
-            mem_peak_bytes: mem_delta.peak_bytes,
-            mem_allocs: mem_delta.allocs,
-            mem_bytes_per_client,
-            trace_critical_client: trace_summary.critical_client,
-            trace_sim_round_micros: trace_summary.sim_round_micros,
-            trace_worker_utilization: trace_summary.worker_utilization,
-        };
-        self.round += 1;
-        Ok(metrics)
     }
 
     /// Runs the configured number of rounds, returning the full history.
@@ -1134,7 +796,7 @@ impl HdFederation {
         label: impl Into<String>,
     ) -> Result<RunHistory> {
         let mut history = RunHistory::new(label);
-        for _ in 0..self.config.rounds {
+        for _ in 0..self.driver.rounds() {
             history.push(self.run_round(channel, test)?);
         }
         Ok(history)
@@ -1149,6 +811,7 @@ mod tests {
     use fhdnn_datasets::features::FeatureSpec;
     use fhdnn_datasets::partition::Partition;
     use fhdnn_hdc::encoder::RandomProjectionEncoder;
+    use rand::SeedableRng;
 
     const DIM: usize = 2048;
 

@@ -2,7 +2,10 @@
 //!
 //! Federated-learning orchestration for the FHDnn reproduction (DAC 2022).
 //!
-//! Two federation engines share one round/metrics vocabulary:
+//! One round driver (the crate-private `round` module: cohort sampling,
+//! seed splitting, fan-out, barrier fold, simulated-lane costing and every
+//! per-round observation) runs two local-update / aggregation rules behind
+//! two public federations with one round/metrics vocabulary:
 //!
 //! - [`fedavg::CnnFederation`] — the paper's baseline: FedAvg over a CNN.
 //!   Each round, a fraction `C` of clients trains the global network for
@@ -10,9 +13,9 @@
 //!   parameter vector through an (optionally unreliable) uplink; the
 //!   server averages the updates.
 //! - [`fedhd::HdFederation`] — FHDnn's federated bundling (paper §3.4.2):
-//!   clients refine integer class prototypes on locally-encoded
-//!   hypervectors and transmit only the HD model, optionally through the
-//!   AGC quantizer; the server bundles (sums) client models.
+//!   clients refine class prototypes on locally-encoded hypervectors and
+//!   transmit only the HD model — raw, through the AGC quantizer, or as
+//!   packed sign bits; the server bundles (sums) or majority-votes them.
 //!
 //! Support modules: [`config`] (the `E`/`B`/`C` hyperparameters),
 //! [`sampling`] (client selection), [`metrics`] (round histories),
@@ -52,6 +55,7 @@ pub mod fedhd;
 pub mod health;
 pub mod metrics;
 pub mod parallel;
+mod round;
 pub mod sampling;
 pub mod timeline;
 

@@ -1,16 +1,17 @@
-//! Deterministic parallel execution for the round engine.
+//! Deterministic parallel execution for the round driver.
 //!
-//! Both federation engines fan per-round client work out over a std-only
-//! scoped thread pool. Three rules make the parallel run **byte-identical
-//! to the serial one at any thread count**:
+//! The round driver (the crate-private `round` module, under both
+//! federations) fans per-round client work out over a std-only scoped
+//! thread pool. Four rules make the parallel run **byte-identical to the
+//! serial one at any thread count**:
 //!
-//! 1. **Seed splitting** — the engine draws one `round_seed` from its
+//! 1. **Seed splitting** — the driver draws one `round_seed` from its
 //!    master RNG per round, then derives an independent per-client stream
 //!    with [`split_seed`]`(round_seed, client_id)`. Workers never touch
 //!    the master RNG, so scheduling order cannot change what any client
 //!    samples.
 //! 2. **Fixed-order reduction** — [`run_tasks`] returns results indexed
-//!    by task, not by completion; the engine folds them in participant
+//!    by task, not by completion; the driver folds them in participant
 //!    order at the barrier. Float accumulation (aggregation, channel
 //!    noise energy) is therefore ordered identically on 1 or 64 threads.
 //! 3. **Buffered telemetry** — each task records spans/counters into a
@@ -19,7 +20,7 @@
 //! 4. **Main-thread sketch absorption** — the fleet-telemetry sketches
 //!    (`fhdnn_telemetry::sketch`, folded into `health.round` via
 //!    `crate::health::RoundSketches`) are never touched by workers:
-//!    the engine observes every client into them during the same
+//!    the driver observes every client into them during the same
 //!    fixed-order fold as rule 2. Their merge is order-invariant by
 //!    construction (log-bucketed counts, register maxima, total-ordered
 //!    top-k), so sketch-derived health fields are byte-identical at any

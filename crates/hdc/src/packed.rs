@@ -558,6 +558,34 @@ pub mod reference {
             best.1
         }
 
+        /// Fraction of a `[rows, dim]` tensor of encoded hypervectors
+        /// classified correctly, each row read as its ±1 sign view
+        /// (`sign(0) = +1`) — the oracle for
+        /// [`super::PackedHdModel::accuracy`]. Zero for an empty set.
+        ///
+        /// # Errors
+        ///
+        /// Rejects a tensor with fewer rows than labels.
+        // BOUNDS: the early return keeps the divisor labels.len()
+        // nonzero (and f64 division cannot trap regardless).
+        pub fn accuracy(&self, hypervectors: &super::Tensor, labels: &[usize]) -> Result<f64> {
+            if labels.is_empty() {
+                return Ok(0.0);
+            }
+            let mut correct = 0usize;
+            for (r, &label) in labels.iter().enumerate() {
+                let h: Vec<i32> = hypervectors
+                    .row(r)?
+                    .iter()
+                    .map(|&v| if v >= 0.0 { 1 } else { -1 })
+                    .collect();
+                if self.predict(&h) == label {
+                    correct += 1;
+                }
+            }
+            Ok(correct as f64 / labels.len() as f64)
+        }
+
         /// One-shot bundling of ±1 hypervectors into label prototypes.
         // BOUNDS: the reference path deliberately panics on labels >=
         // num_classes, mirroring the packed path's checked error.
