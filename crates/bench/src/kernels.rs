@@ -13,6 +13,7 @@ use fhdnn::datasets::partition::Partition;
 use fhdnn::federated::config::{FlConfig, HdExecution};
 use fhdnn::federated::fedhd::{HdClientData, HdFederation, HdTransport};
 use fhdnn::hdc::encoder::RandomProjectionEncoder;
+use fhdnn::hdc::health::{class_geometry, cosine_distances};
 use fhdnn::hdc::model::HdModel;
 use fhdnn::hdc::packed::{pack_signs, pack_signs_i32, reference::ReferenceHdModel, PackedHdModel};
 use fhdnn::hdc::quantizer::quantize;
@@ -59,6 +60,10 @@ pub fn kernel_benches() -> Vec<Bench> {
         Bench {
             name: "hdc.quantize",
             run: bench_hdc_quantize,
+        },
+        Bench {
+            name: "hdc.health",
+            run: bench_hdc_health,
         },
         Bench {
             name: "hdc.refine",
@@ -201,6 +206,23 @@ fn bench_hdc_quantize(cfg: &BenchConfig) -> BenchResult {
     let model = random_model(10, 2048, 20);
     run_bench("hdc.quantize", cfg, 200, (10 * 2048) as f64, || {
         black_box(quantize(&model, 4).expect("quantize"));
+    })
+}
+
+fn bench_hdc_health(cfg: &BenchConfig) -> BenchResult {
+    // A recorded round's diagnostics at the wide binary workload's shape:
+    // norms and margin of a 26-class model at d = 10 000, then six client
+    // deltas scored against the aggregate delta.
+    const CLASSES: usize = 26;
+    const DIM: usize = 10_000;
+    let model = random_model(CLASSES, DIM, 21);
+    let aggregate = random_tensor(&[CLASSES * DIM], 22);
+    let deltas: Vec<Vec<f32>> = (0..6)
+        .map(|client| random_tensor(&[CLASSES * DIM], 23 + client).into_vec())
+        .collect();
+    run_bench("hdc.health", cfg, 20, (CLASSES * DIM) as f64, || {
+        black_box(class_geometry(&model));
+        black_box(cosine_distances(&deltas, aggregate.as_slice()));
     })
 }
 

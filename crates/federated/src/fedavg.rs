@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 use crate::config::FlConfig;
-use crate::health::{elementwise_delta, norm_stats};
+use crate::health::{elementwise_delta_into, norm_stats};
 use crate::metrics::{RoundMetrics, RunHistory};
 use crate::round::{driver_accessors, Algorithm, ModelHealth, RoundDriver, Uplink};
 use crate::{FedError, Result};
@@ -266,16 +266,16 @@ impl Algorithm for FedAvg {
         })
     }
 
-    fn client_delta(&self, update: &CnnUpdate) -> Vec<f32> {
+    fn client_delta(&self, update: &CnnUpdate, out: &mut Vec<f32>) {
         match &update.indices {
-            None => elementwise_delta(&update.payload, &self.broadcast),
+            None => elementwise_delta_into(&update.payload, &self.broadcast, out),
             Some(indices) => {
                 // Unsent coordinates contribute zero delta.
-                let mut delta = vec![0.0f32; self.broadcast.len()];
+                out.clear();
+                out.resize(self.broadcast.len(), 0.0);
                 for (&i, &u) in indices.iter().zip(&update.payload) {
-                    delta[i] = u - self.broadcast[i];
+                    out[i] = u - self.broadcast[i];
                 }
-                delta
             }
         }
     }

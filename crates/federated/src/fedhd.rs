@@ -25,7 +25,7 @@ use fhdnn_channel::lte::LteLink;
 use fhdnn_channel::Channel;
 use fhdnn_hdc::model::HdModel;
 use fhdnn_hdc::packed::{
-    pack_signs_i32, reference::ReferenceHdModel, words_for, PackedBatch, PackedHdModel, WORD_BITS,
+    pack_signs_i32, reference::ReferenceHdModel, words_for, PackedBatch, PackedHdModel,
 };
 use fhdnn_hdc::quantizer::{dequantize_into, quantize};
 use fhdnn_telemetry::Recorder;
@@ -35,7 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::{FlConfig, HdExecution};
 use crate::cost::hd_refine_flops;
-use crate::health::{elementwise_delta, norm_stats, SATURATION_EPSILON};
+use crate::health::{elementwise_delta_into, norm_stats, SATURATION_EPSILON};
 use crate::metrics::{RoundMetrics, RunHistory};
 use crate::round::{driver_accessors, Algorithm, ModelHealth, RoundDriver, Uplink};
 use crate::{FedError, Result};
@@ -146,7 +146,8 @@ struct Hd<R: HdRule> {
     rule: R,
     received: Vec<R::Update>,
     /// The round-start prototypes client deltas and the sign-flip rate
-    /// are measured against; refreshed only under an enabled recorder.
+    /// are measured against: refreshed in place under an enabled
+    /// recorder, empty without one.
     baseline: Vec<f32>,
 }
 
@@ -171,8 +172,9 @@ trait HdRule: Sync {
     ) -> Result<()>;
     /// Serializes the trained model and sends it through the uplink.
     fn transmit(&self, local: Self::Local, up: &mut Uplink<'_>) -> Result<Self::Update>;
-    /// The update's delta from `baseline`, in its wire view.
-    fn delta(update: &Self::Update, baseline: &[f32]) -> Vec<f32>;
+    /// The update's delta from `baseline`, in its wire view, written
+    /// over `out`.
+    fn delta(update: &Self::Update, baseline: &[f32], out: &mut Vec<f32>);
     /// The new global model from the arrived updates, in arrival order.
     fn aggregate(received: &[Self::Update], global: &mut HdModel) -> Result<()>;
     /// Test accuracy of `global`.
@@ -234,8 +236,12 @@ impl<R: HdRule> Algorithm for Hd<R> {
     fn begin_round(&mut self, _round: usize, tel: &Recorder) -> Result<()> {
         // A pure read — the seeded RNG streams are untouched, so runs
         // with and without a recorder stay identical.
+        self.baseline.clear();
         if tel.enabled() {
-            self.baseline = self.global.prototypes().as_slice().to_vec();
+            self.baseline
+                .extend_from_slice(self.global.prototypes().as_slice());
+        } else {
+            self.baseline.shrink_to_fit();
         }
         self.rule.begin_round(&self.global);
         self.received.clear();
@@ -269,8 +275,8 @@ impl<R: HdRule> Algorithm for Hd<R> {
         R::accuracy(&self.global, test)
     }
 
-    fn client_delta(&self, update: &R::Update) -> Vec<f32> {
-        R::delta(update, &self.baseline)
+    fn client_delta(&self, update: &R::Update, out: &mut Vec<f32>) {
+        R::delta(update, &self.baseline, out);
     }
 
     fn health(&self) -> Result<ModelHealth<'_>> {
@@ -283,12 +289,15 @@ impl<R: HdRule> Algorithm for Hd<R> {
             // sign bits (saturation is meaningless).
             HdTransport::Float | HdTransport::Binary => 0.0,
         };
+        // One pass over the prototypes: every class's `Σx²` is taken once
+        // and serves its norm and all of its pairs.
+        let geometry = fhdnn_hdc::health::class_geometry(&self.global);
         Ok(ModelHealth {
             baseline: &self.baseline,
             params: self.global.prototypes().as_slice(),
-            norms: norm_stats(&fhdnn_hdc::health::row_norms(&self.global)?),
+            norms: norm_stats(&geometry.norms),
             saturation,
-            cosine_margin: fhdnn_hdc::health::cosine_margin(&self.global)? as f64,
+            cosine_margin: geometry.cosine_margin as f64,
         })
     }
 }
@@ -360,8 +369,8 @@ impl HdRule for Dense {
         Ok(model)
     }
 
-    fn delta(update: &HdModel, baseline: &[f32]) -> Vec<f32> {
-        elementwise_delta(update.prototypes().as_slice(), baseline)
+    fn delta(update: &HdModel, baseline: &[f32], out: &mut Vec<f32>) {
+        elementwise_delta_into(update.prototypes().as_slice(), baseline, out);
     }
 
     /// Bundle then normalize by the arrival count: cosine inference is
@@ -412,25 +421,72 @@ impl SignRows {
 
     /// Binary updates diverge as their ±1/0 sign view (0 for erased
     /// dimensions) — the dense magnitude never crossed the wire, so
-    /// diagnosing against it would be fiction.
-    fn delta(&self, baseline: &[f32]) -> Vec<f32> {
-        let mut view = vec![0.0f32; baseline.len()];
-        for (c, view) in view.chunks_mut(self.dim).enumerate() {
-            let (words, erased) = self.row(c);
-            for (i, v) in view.iter_mut().enumerate() {
-                let (w, b) = (i / WORD_BITS, i % WORD_BITS);
-                *v = if erased[w] >> b & 1 == 1 {
-                    0.0
-                } else if words[w] >> b & 1 == 1 {
-                    1.0
-                } else {
-                    -1.0
-                };
+    /// diagnosing against it would be fiction. `out[i] = view[i] −
+    /// baseline[i]`, a byte of sign bits at a time ([`expand_byte`]).
+    fn delta_into(&self, baseline: &[f32], out: &mut Vec<f32>) {
+        let stride = words_for(self.dim);
+        let classes = self.words.len() / stride;
+        assert_eq!(
+            baseline.len(),
+            classes * self.dim,
+            "sign rows and baseline are one model shape"
+        );
+        // Every value is written below; only a first use grows the buffer.
+        out.resize(baseline.len(), 0.0);
+        let rows = out.chunks_exact_mut(self.dim);
+        let rows = rows.zip(baseline.chunks_exact(self.dim));
+        let wire = self.words.chunks_exact(stride);
+        let wire = wire.zip(self.erased.chunks_exact(stride));
+        for ((out, baseline), (words, erased)) in rows.zip(wire) {
+            // Dimension `i` is bit `i % 8` of the row's `i / 8`-th byte.
+            let mut bytes = words.iter().zip(erased).flat_map(|(word, erased)| {
+                word.to_le_bytes().into_iter().zip(erased.to_le_bytes())
+            });
+            let (out, out_cut) = out.as_chunks_mut::<8>();
+            let (baseline, baseline_cut) = baseline.as_chunks::<8>();
+            for ((out, baseline), (signs, erased)) in out.iter_mut().zip(baseline).zip(&mut bytes) {
+                expand_byte(out, baseline, signs, erased);
+            }
+            // `dim` may cut the last byte short.
+            if let Some((signs, erased)) = bytes.next() {
+                expand_byte(out_cut, baseline_cut, signs, erased);
             }
         }
-        elementwise_delta(&view, baseline)
     }
 }
+
+/// `out[b] = view[b] − baseline[b]` for up to eight dimensions of a sign
+/// row: `+1.0` where `signs` has bit `b` set and `-1.0` where it does
+/// not, `+0.0` where `erased` has it set.
+fn expand_byte(out: &mut [f32], baseline: &[f32], signs: u8, erased: u8) {
+    let signs = &SIGN_VIEW[usize::from(signs)];
+    let erased = &SIGN_VIEW[usize::from(erased)];
+    for (((out, &base), &sign), &erased) in out.iter_mut().zip(baseline).zip(signs).zip(erased) {
+        // A live dimension reads `-1.0` off the erasure byte: its sign
+        // bit, smeared over the word, keeps every bit of `sign`; an
+        // erased one reads `+1.0` and keeps none, which is `+0.0`.
+        let live = (erased.to_bits() as i32 >> 31) as u32;
+        *out = f32::from_bits(sign.to_bits() & live) - base;
+    }
+}
+
+/// `SIGN_VIEW[byte][bit]` is `+1.0` where `byte` has `bit` set and `-1.0`
+/// where it does not.
+static SIGN_VIEW: [[f32; 8]; 256] = {
+    let mut table = [[-1.0f32; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let mut bit = 0;
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                table[byte][bit] = 1.0;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
 
 /// The global model as the binary rules broadcast it: integer counters
 /// (a lossless conversion, see [`Hd`]), taken once per round.
@@ -514,8 +570,8 @@ impl HdRule for Packed {
         Ok(SignRows::send(words, local.dim(), up))
     }
 
-    fn delta(update: &SignRows, baseline: &[f32]) -> Vec<f32> {
-        update.delta(baseline)
+    fn delta(update: &SignRows, baseline: &[f32], out: &mut Vec<f32>) {
+        update.delta_into(baseline, out);
     }
 
     fn aggregate(received: &[SignRows], global: &mut HdModel) -> Result<()> {
@@ -595,8 +651,8 @@ impl HdRule for Reference {
         Ok(SignRows::send(words, local.dim, up))
     }
 
-    fn delta(update: &SignRows, baseline: &[f32]) -> Vec<f32> {
-        update.delta(baseline)
+    fn delta(update: &SignRows, baseline: &[f32], out: &mut Vec<f32>) {
+        update.delta_into(baseline, out);
     }
 
     fn aggregate(received: &[SignRows], global: &mut HdModel) -> Result<()> {
@@ -865,6 +921,73 @@ mod tests {
             client_fraction: 0.5,
             seed: 7,
             execution: HdExecution::Packed,
+        }
+    }
+
+    /// The per-element expansion `SignRows::delta_into` replaced, kept
+    /// verbatim as its oracle: a divide and a modulo per dimension into a
+    /// sign view, then a second pass for the difference.
+    fn reference_delta(rows: &SignRows, baseline: &[f32]) -> Vec<f32> {
+        use fhdnn_hdc::packed::WORD_BITS;
+        let mut view = vec![0.0f32; baseline.len()];
+        for (c, view) in view.chunks_mut(rows.dim).enumerate() {
+            let (words, erased) = rows.row(c);
+            for (i, v) in view.iter_mut().enumerate() {
+                let (w, b) = (i / WORD_BITS, i % WORD_BITS);
+                *v = if erased[w] >> b & 1 == 1 {
+                    0.0
+                } else if words[w] >> b & 1 == 1 {
+                    1.0
+                } else {
+                    -1.0
+                };
+            }
+        }
+        view.iter().zip(baseline).map(|(&x, &y)| x - y).collect()
+    }
+
+    #[test]
+    fn sign_row_deltas_are_bit_identical_to_the_per_element_expansion() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(17);
+        // One buffer throughout, as the driver reuses its own: stale
+        // values of any earlier shape must all be written over.
+        let mut out = Vec::new();
+        for dim in [1, 7, 8, 9, 63, 64, 65, 1000, 10_000] {
+            for classes in [1, 3, 26] {
+                let stride = words_for(dim);
+                // Vote counts with both zeros: `+0.0 − +0.0` and
+                // `+0.0 − -0.0` are where an erased `-0.0` would show.
+                let baseline: Vec<f32> = (0..classes * dim)
+                    .map(|i| match i % 5 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => rng.gen_range(-6i32..=6) as f32,
+                    })
+                    .collect();
+                // No erasures, all erased, and a random mask; the bits
+                // past `dim` in a row's last word are noise either way.
+                for mask in [0, u64::MAX, 1] {
+                    let rows = SignRows {
+                        words: (0..classes * stride).map(|_| rng.gen()).collect(),
+                        erased: (0..classes * stride)
+                            .map(|_| if mask == 1 { rng.gen() } else { mask })
+                            .collect(),
+                        dim,
+                    };
+                    rows.delta_into(&baseline, &mut out);
+                    let want = reference_delta(&rows, &baseline);
+                    assert_eq!(out.len(), want.len());
+                    for (at, (got, want)) in out.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "dim={dim} classes={classes} mask={mask:#x}: value {at} is {got}, \
+                             the per-element expansion gives {want}"
+                        );
+                    }
+                }
+            }
         }
     }
 

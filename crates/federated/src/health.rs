@@ -293,15 +293,17 @@ pub struct DivergenceSummary {
 /// `aggregate_delta = new_global − broadcast`, then z-scores across the
 /// round's clients. `client_ids[i]` labels `deltas[i]` in the outlier
 /// list. Fewer than two clients cannot have outliers (no population).
+///
+/// The aggregate's `‖Δ‖²` is taken once and the clients' chains run side
+/// by side against it ([`fhdnn_hdc::health::cosine_distances`]); every
+/// distance is bit-for-bit the pairwise
+/// [`fhdnn_hdc::health::cosine_distance`].
 pub fn divergence_summary(
     deltas: &[Vec<f32>],
     aggregate_delta: &[f32],
     client_ids: &[usize],
 ) -> DivergenceSummary {
-    let distances: Vec<f32> = deltas
-        .iter()
-        .map(|d| fhdnn_hdc::health::cosine_distance(d, aggregate_delta))
-        .collect();
+    let distances = fhdnn_hdc::health::cosine_distances(deltas, aggregate_delta);
     if distances.is_empty() {
         return DivergenceSummary::default();
     }
@@ -350,9 +352,10 @@ pub const EXEMPLAR_K: usize = 3;
 pub const FLEET_MAX_OUTLIERS: usize = 8;
 
 /// Seeded-reservoir sample size bounding the per-client divergence deltas
-/// the fedavg engine materializes under fleet mode (each delta is a full
-/// model-sized vector, the O(clients × model) memory ROADMAP item 2
-/// forbids). Divergence percentiles then estimate over this sample.
+/// the round driver materializes under fleet mode, whichever engine runs
+/// (each delta is a full model-sized vector, the O(clients × model)
+/// memory ROADMAP item 2 forbids). Divergence percentiles then estimate
+/// over this sample.
 pub const FLEET_DIVERGENCE_SAMPLE: usize = 32;
 
 /// Constant-size per-round fleet aggregation state: quantile sketches over
@@ -476,11 +479,12 @@ pub fn format_exemplars(div: &TopK, dmg: &TopK, crit: &TopK) -> String {
     parts.join("|")
 }
 
-/// Element-wise `a − b` into a fresh vector (the client/aggregate delta
-/// helper; lengths must already agree — callers subtract models of one
-/// shape).
-pub fn elementwise_delta(a: &[f32], b: &[f32]) -> Vec<f32> {
-    a.iter().zip(b).map(|(&x, &y)| x - y).collect()
+/// Element-wise `a − b` into `out`, reusing its storage (the client
+/// delta helper; lengths must already agree — callers subtract models of
+/// one shape).
+pub fn elementwise_delta_into(a: &[f32], b: &[f32], out: &mut Vec<f32>) {
+    out.clear();
+    out.extend(a.iter().zip(b).map(|(&x, &y)| x - y));
 }
 
 /// `(min, max, mean)` of a norm list, all zeros when empty.
@@ -592,6 +596,27 @@ mod tests {
     }
 
     #[test]
+    fn divergence_distances_are_the_pairwise_ones_at_any_client_count() {
+        // Chains share blocks seven clients at a time; no distance may
+        // depend on which clients it shared one with (the kernel's own
+        // wall against the verbatim loop is in `fhdnn_hdc::health`).
+        let value = |i: usize| ((i * 2_654_435_761) % 1013) as f32 / 64.0 - 8.0;
+        let aggregate: Vec<f32> = (0..1000).map(value).collect();
+        for clients in [0, 1, 2, 3, 5, 6, 20, 33] {
+            let deltas: Vec<Vec<f32>> = (1..=clients)
+                .map(|c| (0..1000).map(|i| value(i * c + c)).collect())
+                .collect();
+            let ids: Vec<usize> = (0..clients).map(|c| 100 + c).collect();
+            let summary = divergence_summary(&deltas, &aggregate, &ids);
+            assert_eq!(summary.distances.len(), clients);
+            for ((id, got), delta) in summary.distances.iter().zip(&deltas) {
+                let want = fhdnn_hdc::health::cosine_distance(delta, &aggregate) as f64;
+                assert_eq!(got.to_bits(), want.to_bits(), "client {id} of {clients}");
+            }
+        }
+    }
+
+    #[test]
     fn record_converts_to_alert_sample() {
         let rec = record();
         let s = rec.to_sample();
@@ -676,7 +701,9 @@ mod tests {
     }
 
     #[test]
-    fn elementwise_delta_subtracts() {
-        assert_eq!(elementwise_delta(&[3.0, 1.0], &[1.0, 1.0]), vec![2.0, 0.0]);
+    fn elementwise_delta_subtracts_into_the_callers_buffer() {
+        let mut out = vec![7.0; 5];
+        elementwise_delta_into(&[3.0, 1.0], &[1.0, 1.0], &mut out);
+        assert_eq!(out, vec![2.0, 0.0]);
     }
 }

@@ -25,8 +25,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use crate::config::FlConfig;
 use crate::cost::DeviceProfile;
 use crate::health::{
-    divergence_summary, elementwise_delta, HealthRecord, RoundSketches, FLEET_DIVERGENCE_SAMPLE,
-    FLEET_MAX_OUTLIERS,
+    divergence_summary, HealthRecord, RoundSketches, FLEET_DIVERGENCE_SAMPLE, FLEET_MAX_OUTLIERS,
 };
 use crate::metrics::RoundMetrics;
 use crate::parallel::{resolve_threads, run_tasks_traced, split_seed};
@@ -112,8 +111,10 @@ pub(crate) trait Algorithm: Sync {
     fn evaluate(&mut self, test: &Self::Test) -> Result<f32>;
 
     /// One update's delta from the round-start baseline, in the update's
-    /// wire view. Only called when `begin_round` saw an enabled recorder.
-    fn client_delta(&self, update: &Self::Update) -> Vec<f32>;
+    /// wire view, written over `out` (a buffer the driver keeps from
+    /// round to round). Only called when `begin_round` saw an enabled
+    /// recorder.
+    fn client_delta(&self, update: &Self::Update, out: &mut Vec<f32>);
     /// Diagnostics of the current global model against the baseline;
     /// same condition as [`Algorithm::client_delta`].
     fn health(&self) -> Result<ModelHealth<'_>>;
@@ -159,22 +160,37 @@ impl DeltaSlots {
     }
 }
 
-/// Writes a kept divergence delta into its slot: slots arrive in fill
-/// order first (append), then replace existing entries — exactly the
-/// contract of [`Reservoir::offer`].
-fn place_delta(
-    deltas: &mut Vec<Vec<f32>>,
-    ids: &mut Vec<usize>,
-    slot: usize,
-    delta: Vec<f32>,
-    client: usize,
-) {
-    if slot == deltas.len() {
-        deltas.push(delta);
-        ids.push(client);
-    } else {
-        deltas[slot] = delta;
-        ids[slot] = client;
+/// The model-sized buffers of the health block, kept from round to round
+/// so that a steady-state recorded round allocates none of them. Empty
+/// until a round runs under an enabled recorder, and dropped again by the
+/// first round that does not.
+#[derive(Debug, Default)]
+struct HealthScratch {
+    /// One buffer per delta slot any round has filled; this round's
+    /// divergence deltas are the first `delta_ids.len()` of them.
+    deltas: Vec<Vec<f32>>,
+    /// The client behind each of this round's deltas.
+    delta_ids: Vec<usize>,
+    /// New global minus round-start baseline.
+    aggregate_delta: Vec<f32>,
+}
+
+impl HealthScratch {
+    /// Hands delta slot `slot` to `client` and returns its buffer: slots
+    /// arrive in fill order first, then name existing entries to replace
+    /// — exactly the contract of [`Reservoir::offer`] — and either way
+    /// what the buffer held, this round or an earlier one, is written
+    /// over in place.
+    fn claim(&mut self, slot: usize, client: usize) -> &mut Vec<f32> {
+        if slot == self.delta_ids.len() {
+            self.delta_ids.push(client);
+            if self.deltas.len() < self.delta_ids.len() {
+                self.deltas.push(Vec::new());
+            }
+        } else {
+            self.delta_ids[slot] = client;
+        }
+        &mut self.deltas[slot]
     }
 }
 
@@ -251,6 +267,7 @@ pub(crate) struct RoundDriver {
     alerts: AlertEngine,
     pub(crate) fleet_telemetry: bool,
     cohort: DistinctEstimator,
+    health_scratch: HealthScratch,
 }
 
 impl RoundDriver {
@@ -278,6 +295,7 @@ impl RoundDriver {
             alerts: AlertEngine::default(),
             fleet_telemetry: false,
             cohort: DistinctEstimator::new(),
+            health_scratch: HealthScratch::default(),
         })
     }
 
@@ -359,11 +377,15 @@ impl RoundDriver {
         // computes anyway, gated on an enabled recorder so uninstrumented
         // runs pay nothing and the seeded streams never notice.
         let mut slots = DeltaSlots::new(tel.enabled(), self.fleet_telemetry, round_seed);
-        let mut deltas: Vec<Vec<f32>> = Vec::new();
-        let mut delta_ids: Vec<usize> = Vec::new();
+        if tel.enabled() {
+            self.health_scratch.delta_ids.clear();
+        } else {
+            self.health_scratch = HealthScratch::default();
+        }
         // One constant-size sketch set absorbs a per-client observation
-        // at each fold step, in the same fixed participant order.
-        let mut sketches = RoundSketches::new();
+        // at each fold step, in the same fixed participant order; it is
+        // also what marks the round as recorded from here on.
+        let mut sketches = tel.enabled().then(RoundSketches::new);
         // Outcomes come back in task order == participant order.
         for ((outcome, timing), &client) in outcomes.into_iter().zip(&participants) {
             let outcome = outcome?;
@@ -376,7 +398,7 @@ impl RoundDriver {
             let sim_compute_micros =
                 (self.device.estimate(flops as f64)?.seconds * 1e6).round() as u64;
             let arrives = outcome.update.is_some();
-            if tel.enabled() {
+            if let Some(sketches) = &mut sketches {
                 let damage = outcome.stats.bits_flipped
                     + outcome.stats.dims_erased
                     + outcome.stats.packets_dropped;
@@ -402,9 +424,8 @@ impl RoundDriver {
                 arrived += 1;
                 // Decided before computing the delta, so skipped clients
                 // never materialize one.
-                if let Some(slot) = slots.offer(deltas.len()) {
-                    let delta = alg.client_delta(&update);
-                    place_delta(&mut deltas, &mut delta_ids, slot, delta, client);
+                if let Some(slot) = slots.offer(self.health_scratch.delta_ids.len()) {
+                    alg.client_delta(&update, self.health_scratch.claim(slot, client));
                 }
                 alg.fold(client, update);
             }
@@ -427,7 +448,7 @@ impl RoundDriver {
         // thread count; the measured half is zero without a recorder.
         let trace_summary = fhdnn_telemetry::trace::summarize_round(&rows);
 
-        if tel.enabled() {
+        if let Some(mut sketches) = sketches {
             tel.incr("fl.rounds", 1);
             tel.incr("fl.participants", participants.len() as u64);
             let stragglers = participants.len() - arrived;
@@ -473,7 +494,7 @@ impl RoundDriver {
                 EVENT_TRACE_ROUND,
                 &[
                     ("critical_client", trace_summary.critical_client.into()),
-                    ("engine", trace_summary.engine.as_str().into()),
+                    ("engine", (&*trace_summary.engine).into()),
                     ("queue_depth_max", trace_summary.queue_depth_max.into()),
                     ("round", trace_summary.round.into()),
                     (
@@ -493,9 +514,14 @@ impl RoundDriver {
             // Flight record: model diagnostics on the new global,
             // client-divergence outliers, channel-damage attribution.
             let health = alg.health()?;
-            let (params, baseline) = (health.params, health.baseline);
-            let aggregate_delta = elementwise_delta(params, baseline);
-            let mut div = divergence_summary(&deltas, &aggregate_delta, &delta_ids);
+            let scratch = &mut self.health_scratch;
+            let sign_flip_rate = fhdnn_hdc::health::delta_and_sign_flip_rate(
+                health.params,
+                health.baseline,
+                &mut scratch.aggregate_delta,
+            );
+            let deltas = &scratch.deltas[..scratch.delta_ids.len()];
+            let mut div = divergence_summary(deltas, &scratch.aggregate_delta, &scratch.delta_ids);
             sketches.absorb_divergence(&div);
             if self.fleet_telemetry {
                 div.outliers.truncate(FLEET_MAX_OUTLIERS);
@@ -512,7 +538,7 @@ impl RoundDriver {
                 norm_mean,
                 saturation: health.saturation,
                 cosine_margin: health.cosine_margin,
-                sign_flip_rate: fhdnn_hdc::health::sign_flip_rate_slices(params, baseline) as f64,
+                sign_flip_rate: sign_flip_rate as f64,
                 mean_divergence: div.mean,
                 max_abs_z: div.max_abs_z,
                 outlier_clients: div.outliers,
@@ -744,8 +770,9 @@ mod tests {
             self.params = vec![self.model.len() as f32];
             Ok(self.model.len() as f32 / 16.0)
         }
-        fn client_delta(&self, update: &(usize, u64)) -> Vec<f32> {
-            vec![(update.1 % 7) as f32]
+        fn client_delta(&self, update: &(usize, u64), out: &mut Vec<f32>) {
+            out.clear();
+            out.push((update.1 % 7) as f32);
         }
         fn health(&self) -> Result<ModelHealth<'_>> {
             Ok(ModelHealth {
@@ -889,6 +916,44 @@ mod tests {
             assert_eq!(a.bytes_per_client, 16);
             assert_eq!(a.downlink_bytes_per_client, b.downlink_bytes_per_client);
             assert!(a.trace_sim_round_micros > 0);
+        }
+    }
+
+    #[test]
+    fn health_scratch_lives_under_a_recorder_only_and_is_written_in_place() {
+        // 80 arrivals a round: verbose mode keeps a delta for each, fleet
+        // mode one per reservoir slot however many replace each other.
+        for (fleet, kept) in [(false, 80), (true, FLEET_DIVERGENCE_SAMPLE)] {
+            let config = FlConfig {
+                num_clients: 80,
+                client_fraction: 1.0,
+                seed: 3,
+                ..FlConfig::default()
+            };
+            let mut driver = RoundDriver::new(config, 80, LteLink::error_admitting()).unwrap();
+            driver.fleet_telemetry = fleet;
+            let mut toy = Toy::default();
+            let mut round = |driver: &mut RoundDriver| {
+                driver
+                    .run_round(&mut toy, &NoiselessChannel::new(), &())
+                    .unwrap();
+                let scratch = &driver.health_scratch;
+                let buffers = scratch.deltas.iter().map(|delta| delta.as_ptr());
+                (
+                    buffers.collect::<Vec<_>>(),
+                    scratch.aggregate_delta.capacity(),
+                )
+            };
+            assert_eq!(round(&mut driver), (Vec::new(), 0), "no recorder, no bytes");
+            driver.telemetry = Recorder::in_memory();
+            let first = round(&mut driver);
+            assert_eq!(first.0.len(), kept, "fleet={fleet}");
+            assert!(first.1 > 0);
+            // A steady-state round moves no buffer: every delta, replaced
+            // reservoir slots included, lands where an earlier one lay.
+            assert_eq!(round(&mut driver), first, "fleet={fleet}");
+            driver.telemetry = Recorder::disabled();
+            assert_eq!(round(&mut driver), (Vec::new(), 0), "fleet={fleet}");
         }
     }
 

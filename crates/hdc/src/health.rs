@@ -19,34 +19,89 @@
 //!   changed against the previous round's model. Healthy convergence
 //!   settles signs; a sign-flip spike marks a catastrophically damaged or
 //!   diverging round.
-//! - [`cosine_distance`] — the building block of per-client update
-//!   divergence in the federated layer.
+//! - [`cosine_distance`] / [`cosine_distances`] — the building block of
+//!   per-client update divergence in the federated layer.
 //!
-//! Everything here is pure arithmetic over existing state: no RNG, no
-//! allocation beyond the returned vectors, safe to compute only when a
-//! telemetry recorder is enabled without perturbing seeded runs.
+//! [`class_geometry`] takes the norms and the margin from one pass over
+//! the prototypes, which is how a recorded round reads them.
+//!
+//! Everything here is pure arithmetic over existing state: no RNG and no
+//! model-sized allocation (the returned vectors, one 32 KiB block of
+//! widened values and, for the margin, one `f64` per class pair), safe to
+//! compute only when a telemetry recorder is enabled without perturbing
+//! seeded runs.
+//!
+//! # Reductions
+//!
+//! Every sum below is one `f64` chain over ascending indices, each term
+//! the exact product of two widened `f32`s — the chain the plain loop
+//! `for q { sum += x[q] as f64 * y[q] as f64 }` runs. Such a chain cannot
+//! be split without changing its rounding, but independent chains can run
+//! side by side: the kernels widen a block of rows into `f64` lanes,
+//! transposed so that the values one step of every chain needs are
+//! adjacent, and then advance several chains per instruction. No result
+//! depends on how many chains share a block (DESIGN.md §15).
 
 use crate::model::HdModel;
 use crate::quantizer::quantize;
 use crate::Result;
 
+/// Side of the square register tile of [`accumulate_tile`]: `TILE × TILE`
+/// chains in flight, enough to hide the latency of an `f64` add. Also
+/// the four rows [`pack4`] widens at a time.
+const TILE: usize = 4;
+
+/// Rows whose chains [`row_norms`] and [`cosine_distances`] keep in
+/// flight: a group of rows of the one, the shared vector and up to seven
+/// rows scored against it of the other.
+const LANES: usize = 8;
+
+/// `f64` values in the widened block the tile kernels stream: 32 KiB, so
+/// a block is written and read back without leaving the first-level cache.
+const BLOCK_VALUES: usize = 4096;
+
+/// `start + Σ x²` over each of `N` rows (cut to the shortest), in `f64`:
+/// `N` chains side by side, parallel across rows and never within one.
+fn sums_of_squares<const N: usize>(rows: [&[f32]; N], start: f64) -> [f64; N] {
+    let d = rows.iter().map(|row| row.len()).min().unwrap_or(0);
+    let rows = rows.map(|row| &row[..d]);
+    let mut sums = [start; N];
+    for q in 0..d {
+        for (sum, row) in sums.iter_mut().zip(rows) {
+            // BOUNDS: every row was cut to `d` values above and `q < d`.
+            let x = row[q] as f64;
+            *sum += x * x;
+        }
+    }
+    sums
+}
+
 /// L2 norm of a slice.
 pub fn l2_norm(v: &[f32]) -> f32 {
-    v.iter()
-        .map(|x| (*x as f64) * (*x as f64))
-        .sum::<f64>()
-        .sqrt() as f32
+    // From `-0.0`, where `Iterator::sum` starts: the norm of nothing.
+    let [sum] = sums_of_squares([v], -0.0);
+    sum.sqrt() as f32
 }
 
 /// Per-class prototype L2 norms, `[num_classes]`.
 ///
 /// # Errors
 ///
-/// Propagates row-access failures (never for a well-formed model).
+/// None today; the signature predates the slice-based kernels.
 pub fn row_norms(model: &HdModel) -> Result<Vec<f32>> {
-    (0..model.num_classes())
-        .map(|k| Ok(l2_norm(model.prototypes().row(k)?)))
-        .collect()
+    let (rows, d) = (model.prototypes().as_slice(), model.dim());
+    let mut norms = Vec::with_capacity(model.num_classes());
+    for group in rows.chunks(LANES * d) {
+        // A short last group repeats its first row and drops the spare
+        // sums.
+        let mut lanes = [&group[..d]; LANES];
+        for (lane, row) in lanes.iter_mut().zip(group.chunks_exact(d)) {
+            *lane = row;
+        }
+        let sums = sums_of_squares(lanes, -0.0);
+        norms.extend(sums[..group.len() / d].iter().map(|sum| sum.sqrt() as f32));
+    }
+    Ok(norms)
 }
 
 /// Counter-saturation fraction: the share of `bitwidth`-bit quantized
@@ -77,18 +132,20 @@ pub fn saturation_fraction(model: &HdModel, bitwidth: u32, epsilon: f32) -> Resu
     Ok(saturated as f32 / q.words.len() as f32)
 }
 
-/// Cosine distance `1 − cos(a, b)`, in `[0, 2]`.
-///
-/// Conventions for degenerate inputs: two zero vectors are identical
-/// (distance 0); one zero vector against a nonzero one is maximally
-/// uninformative (distance 1, the orthogonal reading).
-pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
-    let (mut dot, mut na, mut nb) = (0.0f64, 0.0f64, 0.0f64);
-    for (&x, &y) in a.iter().zip(b) {
-        dot += x as f64 * y as f64;
-        na += x as f64 * x as f64;
-        nb += y as f64 * y as f64;
+/// Widens four equally long rows into lanes `lane..lane + 4` of a block's
+/// `width`-wide columns: `block[q][lane + r] = rows[r][q]`.
+fn pack4(block: &mut [f64], width: usize, lane: usize, rows: [&[f32]; 4]) {
+    let [r0, r1, r2, r3] = rows;
+    let columns = block.chunks_exact_mut(width);
+    for ((((column, &a), &b), &c), &d) in columns.zip(r0).zip(r1).zip(r2).zip(r3) {
+        column[lane..lane + 4].copy_from_slice(&[a as f64, b as f64, c as f64, d as f64]);
     }
+}
+
+/// Cosine distance from a pair's three sums, `dot = Σ a·b`, `na = Σ a²`
+/// and `nb = Σ b²`, with the degenerate conventions of
+/// [`cosine_distance`].
+fn distance_from(dot: f64, na: f64, nb: f64) -> f32 {
     if na == 0.0 && nb == 0.0 {
         return 0.0;
     }
@@ -96,6 +153,187 @@ pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
         return 1.0;
     }
     (1.0 - dot / (na.sqrt() * nb.sqrt())) as f32
+}
+
+/// One block's worth of every lane's chain against lane 0:
+/// `dots[l] += Σ_q block[q][l] · block[q][0]` and
+/// `squares[l] += Σ_q block[q][l]²`, ascending in `q`.
+///
+/// Out of line, like the GEMM micro-kernel: inlined into its caller's
+/// loops the accumulators were seen to go through the stack.
+#[inline(never)]
+fn accumulate_against_first<const L: usize>(
+    block: &[f64],
+    dots: &mut [f64; L],
+    squares: &mut [f64; L],
+) {
+    let (mut dot, mut square) = (*dots, *squares);
+    let (columns, _) = block.as_chunks::<L>();
+    for column in columns {
+        let y = column[0];
+        for ((dot, square), &x) in dot.iter_mut().zip(&mut square).zip(column) {
+            *dot += x * y;
+            *square += x * x;
+        }
+    }
+    (*dots, *squares) = (dot, square);
+}
+
+/// Scores up to `L − 1` rows, each at least as long as `shared`, against
+/// it in one pass: lane 0 is `shared`, whose `Σ shared²` so rides along
+/// once for the whole group, and spare lanes repeat it (their sums are
+/// dropped).
+fn score_group<const L: usize, R: AsRef<[f32]>>(
+    group: &[R],
+    shared: &[f32],
+    block: &mut [f64; BLOCK_VALUES],
+    distances: &mut Vec<f32>,
+) {
+    let n = shared.len();
+    let mut lanes = [shared; L];
+    for (lane, row) in lanes[1..].iter_mut().zip(group) {
+        *lane = &row.as_ref()[..n];
+    }
+    let (mut dots, mut squares) = ([0.0f64; L], [0.0f64; L]);
+    let columns = BLOCK_VALUES / L;
+    for q0 in (0..n).step_by(columns) {
+        let part = lanes.map(|lane| &lane[q0..n.min(q0 + columns)]);
+        let block = &mut block[..part[0].len() * L];
+        for lane in (0..L).step_by(TILE) {
+            let rows = [part[lane], part[lane + 1], part[lane + 2], part[lane + 3]];
+            pack4(block, L, lane, rows);
+        }
+        accumulate_against_first(block, &mut dots, &mut squares);
+    }
+    let scored = dots[1..].iter().zip(&squares[1..]).take(group.len());
+    distances.extend(scored.map(|(&dot, &square)| distance_from(dot, square, squares[0])));
+}
+
+/// Cosine distance `1 − cos(row, shared)` of every row from one shared
+/// vector, each exactly [`cosine_distance`]`(row, shared)`: the rows'
+/// `(Σ row·shared, Σ row²)` chains run up to seven at a time against the
+/// widened `shared`.
+pub fn cosine_distances<R: AsRef<[f32]>>(rows: &[R], shared: &[f32]) -> Vec<f32> {
+    let mut distances = Vec::with_capacity(rows.len());
+    let mut block = [0.0f64; BLOCK_VALUES];
+    // A pair is scored over the length it shares, as `zip` would, and the
+    // rows of one group must share one length with `shared`.
+    let shared_len = |row: &R| row.as_ref().len().min(shared.len());
+    let mut rest = rows;
+    while let Some(first) = rest.first() {
+        let n = shared_len(first);
+        let alike = rest.iter().take(LANES - 1);
+        let alike = alike.take_while(|row| shared_len(row) == n).count();
+        let (group, later) = rest.split_at(alike);
+        rest = later;
+        // A few rows leave half the lanes spare: pack half as many.
+        if group.len() < TILE {
+            score_group::<TILE, R>(group, &shared[..n], &mut block, &mut distances);
+        } else {
+            score_group::<LANES, R>(group, &shared[..n], &mut block, &mut distances);
+        }
+    }
+    distances
+}
+
+/// Cosine distance `1 − cos(a, b)`, in `[0, 2]`.
+///
+/// Conventions for degenerate inputs: two zero vectors are identical
+/// (distance 0); one zero vector against a nonzero one is maximally
+/// uninformative (distance 1, the orthogonal reading).
+pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
+    cosine_distances(&[a], b)[0]
+}
+
+/// One block's worth of a `TILE × TILE` tile of chains:
+/// `sums[r][l] += Σ_q block[q][i0 + r] · block[q][j0 + l]`, ascending in
+/// `q`. Out of line for the reason [`accumulate_against_first`] is.
+#[inline(never)]
+fn accumulate_tile(
+    block: &[f64],
+    width: usize,
+    (i0, j0): (usize, usize),
+    sums: &mut [[f64; TILE]; TILE],
+) {
+    let mut acc = *sums;
+    for column in block.chunks_exact(width) {
+        let (Some(xs), Some(ys)) = (
+            column[i0..].first_chunk::<TILE>(),
+            column[j0..].first_chunk::<TILE>(),
+        ) else {
+            break;
+        };
+        for (acc_row, &x) in acc.iter_mut().zip(xs) {
+            for (sum, &y) in acc_row.iter_mut().zip(ys) {
+                *sum += x * y;
+            }
+        }
+    }
+    *sums = acc;
+}
+
+/// Per-class norms and the minimum pairwise separation of one model, as
+/// [`class_geometry`] reads them off a single pass over the prototypes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClassGeometry {
+    /// Per-class prototype L2 norms: [`row_norms`].
+    pub norms: Vec<f32>,
+    /// Minimum pairwise inter-class separation: [`cosine_margin`].
+    pub cosine_margin: f32,
+}
+
+/// [`ClassGeometry`] of `k` row-major `d`-wide rows (`d > 0`): every
+/// `Σ_q rᵢ[q]·rⱼ[q]` with `j ≥ i` — the pair dots and, on the diagonal,
+/// each row's `Σ x²`, taken once — as tiles of chains over the widened
+/// rows, a block of columns at a time. A tile's sums park in `tiles`
+/// between blocks, so each chain still runs over ascending `q`.
+fn geometry_of(rows: &[f32], k: usize, d: usize) -> ClassGeometry {
+    let side = k.div_ceil(TILE);
+    let width = side * TILE;
+    let mut tiles = vec![[[0.0f64; TILE]; TILE]; side * side];
+    let columns = (BLOCK_VALUES / width.max(1)).max(1);
+    let mut block = vec![0.0f64; columns * width];
+    for q0 in (0..d).step_by(columns) {
+        let run = columns.min(d - q0);
+        let block = &mut block[..run * width];
+        for lane in (0..width).step_by(TILE) {
+            // A short last group repeats its first row; the sums of the
+            // spare lanes are never read.
+            let row = |r: usize| {
+                let class = if lane + r < k { lane + r } else { lane };
+                &rows[class * d + q0..][..run]
+            };
+            pack4(block, width, lane, [row(0), row(1), row(2), row(3)]);
+        }
+        for i in 0..side {
+            for j in i..side {
+                accumulate_tile(block, width, (i * TILE, j * TILE), &mut tiles[i * side + j]);
+            }
+        }
+    }
+    let sum = |i: usize, j: usize| tiles[i / TILE * side + j / TILE][i % TILE][j % TILE];
+    let squares: Vec<f64> = (0..k).map(|i| sum(i, i)).collect();
+    // `min` ignores a NaN distance, as the pairwise fold always has.
+    let mut margin = if k < 2 { 1.0 } else { f32::INFINITY };
+    for i in 0..k {
+        for j in (i + 1)..k {
+            margin = margin.min(distance_from(sum(i, j), squares[i], squares[j]));
+        }
+    }
+    ClassGeometry {
+        norms: squares.iter().map(|square| square.sqrt() as f32).collect(),
+        cosine_margin: margin,
+    }
+}
+
+/// Norms and margin of `model` from one pass over its prototypes; each
+/// field is bit-for-bit what [`row_norms`] / [`cosine_margin`] return.
+pub fn class_geometry(model: &HdModel) -> ClassGeometry {
+    geometry_of(
+        model.prototypes().as_slice(),
+        model.num_classes(),
+        model.dim(),
+    )
 }
 
 /// Minimum pairwise inter-class separation: `min_{i<j} 1 − cos(c_i, c_j)`.
@@ -107,21 +345,14 @@ pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// # Errors
 ///
-/// Propagates row-access failures (never for a well-formed model).
+/// None today; the signature predates the slice-based kernels.
 pub fn cosine_margin(model: &HdModel) -> Result<f32> {
-    let k = model.num_classes();
-    if k < 2 {
-        return Ok(1.0);
-    }
-    let mut margin = f32::INFINITY;
-    for i in 0..k {
-        let a = model.prototypes().row(i)?;
-        for j in (i + 1)..k {
-            let b = model.prototypes().row(j)?;
-            margin = margin.min(cosine_distance(a, b));
-        }
-    }
-    Ok(margin)
+    Ok(class_geometry(model).cosine_margin)
+}
+
+/// Whether an entry changed sign, under the paper's `sign(0) = +1`.
+fn sign_flipped(x: f32, y: f32) -> bool {
+    (x >= 0.0) != (y >= 0.0)
 }
 
 /// Fraction of entries whose sign differs between two equal-length slices
@@ -135,9 +366,25 @@ pub fn sign_flip_rate_slices(a: &[f32], b: &[f32]) -> f32 {
     let flips = a
         .iter()
         .zip(b)
-        .filter(|(&x, &y)| (x >= 0.0) != (y >= 0.0))
+        .filter(|(&x, &y)| sign_flipped(x, y))
         .count();
     flips as f32 / n as f32
+}
+
+/// `current − previous` element-wise into `out` (reusing its storage)
+/// and, from the same pass, [`sign_flip_rate_slices`]`(current, previous)`;
+/// both over the length the two slices share.
+pub fn delta_and_sign_flip_rate(current: &[f32], previous: &[f32], out: &mut Vec<f32>) -> f32 {
+    let mut flips = 0usize;
+    out.clear();
+    out.extend(current.iter().zip(previous).map(|(&x, &y)| {
+        flips += usize::from(sign_flipped(x, y));
+        x - y
+    }));
+    if out.is_empty() {
+        return 0.0;
+    }
+    flips as f32 / out.len() as f32
 }
 
 /// Fraction of prototype entries whose sign flipped between two rounds'
@@ -169,6 +416,246 @@ mod tests {
 
     fn model_with(values: &[f32], k: usize, d: usize) -> HdModel {
         HdModel::from_prototypes(Tensor::from_vec(values.to_vec(), &[k, d]).unwrap()).unwrap()
+    }
+
+    /// The per-pair loops the kernels replaced, kept verbatim as the
+    /// oracle: one sequential chain per sum, both norms recomputed for
+    /// every pair.
+    mod reference {
+        pub fn l2_norm(v: &[f32]) -> f32 {
+            v.iter()
+                .map(|x| (*x as f64) * (*x as f64))
+                .sum::<f64>()
+                .sqrt() as f32
+        }
+
+        pub fn cosine_distance(a: &[f32], b: &[f32]) -> f32 {
+            let (mut dot, mut na, mut nb) = (0.0f64, 0.0f64, 0.0f64);
+            for (&x, &y) in a.iter().zip(b) {
+                dot += x as f64 * y as f64;
+                na += x as f64 * x as f64;
+                nb += y as f64 * y as f64;
+            }
+            if na == 0.0 && nb == 0.0 {
+                return 0.0;
+            }
+            if na == 0.0 || nb == 0.0 {
+                return 1.0;
+            }
+            (1.0 - dot / (na.sqrt() * nb.sqrt())) as f32
+        }
+
+        pub fn cosine_margin(rows: &[f32], k: usize, d: usize) -> f32 {
+            if k < 2 {
+                return 1.0;
+            }
+            let mut margin = f32::INFINITY;
+            for i in 0..k {
+                for j in (i + 1)..k {
+                    let (a, b) = (&rows[i * d..][..d], &rows[j * d..][..d]);
+                    margin = margin.min(cosine_distance(a, b));
+                }
+            }
+            margin
+        }
+    }
+
+    /// Bit equality, any NaN matching any NaN (Rust leaves NaN payloads
+    /// unspecified).
+    fn same_bits(got: f32, want: f32, what: &str) {
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "{what}: {got:e} ({:#010x}), the pairwise loop gives {want:e} ({:#010x})",
+            got.to_bits(),
+            want.to_bits(),
+        );
+    }
+
+    /// What a vector of the wall is filled with.
+    #[derive(Debug, Clone, Copy)]
+    enum Fill {
+        /// Small integers: the binary engine's vote counts and ±1/0 deltas.
+        Counts,
+        /// Floats in `(-1, 1)` with `±0.0` and subnormals mixed in.
+        Floats,
+        /// [`Fill::Floats`] with `±3e38` entries: squares only `f64` holds.
+        Huge,
+        /// [`Fill::Floats`] with `±inf` and NaN entries.
+        NonFinite,
+    }
+
+    const FILLS: [Fill; 4] = [Fill::Counts, Fill::Floats, Fill::Huge, Fill::NonFinite];
+
+    /// A deterministic stream of test values (xorshift64).
+    struct Values(u64);
+
+    impl Values {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn value(&mut self, fill: Fill) -> f32 {
+            let (pick, bits) = (self.next() % 16, self.next());
+            let unit = (bits % 2001) as f32 / 1000.0 - 1.0;
+            match (fill, pick) {
+                (Fill::Counts, _) => (bits % 41) as f32 - 20.0,
+                (_, 0) => 0.0,
+                (_, 1) => -0.0,
+                (_, 2) => f32::from_bits((bits % 0x0080_0000) as u32),
+                (_, 3) => -1.0e-40,
+                (Fill::Huge, 4) => 3.0e38,
+                (Fill::Huge, 5) => -3.0e38,
+                (Fill::NonFinite, 4) => f32::INFINITY,
+                (Fill::NonFinite, 5) => f32::NEG_INFINITY,
+                (Fill::NonFinite, 6) => f32::NAN,
+                _ => unit,
+            }
+        }
+
+        fn vector(&mut self, len: usize, fill: Fill) -> Vec<f32> {
+            (0..len).map(|_| self.value(fill)).collect()
+        }
+    }
+
+    #[test]
+    fn geometry_is_bit_identical_to_the_pairwise_loops() {
+        let mut values = Values(0x9E37_79B9_7F4A_7C15);
+        for k in [0, 1, 2, 3, 7, 8, 9, 26] {
+            for d in [1, 63, 64, 65, 1000, 10_000] {
+                for fill in FILLS {
+                    let mut rows = values.vector(k * d, fill);
+                    // All-zero rows: the degenerate-distance conventions,
+                    // one zero row against a live one and two together.
+                    for zeroed in [1, 5, 6] {
+                        if zeroed < k && !matches!(fill, Fill::NonFinite) {
+                            rows[zeroed * d..][..d].fill(0.0);
+                        }
+                    }
+                    let what = format!("k={k} d={d} {fill:?}");
+                    let got = geometry_of(&rows, k, d);
+                    assert_eq!(got.norms.len(), k, "{what}");
+                    for (class, &norm) in got.norms.iter().enumerate() {
+                        let want = reference::l2_norm(&rows[class * d..][..d]);
+                        same_bits(norm, want, &format!("{what}: norm {class}"));
+                    }
+                    let want = reference::cosine_margin(&rows, k, d);
+                    same_bits(got.cosine_margin, want, &format!("{what}: margin"));
+                    if k == 0 {
+                        continue;
+                    }
+                    // The public wrappers agree with the fused pass.
+                    let model = model_with(&rows, k, d);
+                    let whole = class_geometry(&model);
+                    let norms = row_norms(&model).unwrap();
+                    assert_eq!(norms.len(), k, "{what}");
+                    for ((&alone, &fused), &core) in norms.iter().zip(&whole.norms).zip(&got.norms)
+                    {
+                        same_bits(alone, core, &format!("{what}: row_norms"));
+                        same_bits(fused, core, &format!("{what}: class_geometry"));
+                    }
+                    let margin = cosine_margin(&model).unwrap();
+                    same_bits(margin, got.cosine_margin, &format!("{what}: cosine_margin"));
+                    same_bits(
+                        whole.cosine_margin,
+                        margin,
+                        &format!("{what}: fused margin"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn margin_ignores_nan_pairs_like_the_fold_it_replaced() {
+        // Row 1 is NaN: both of its pairs score NaN and `min` drops them,
+        // leaving the one finite pair; with every pair NaN nothing is
+        // ever taken and the fold's start shows.
+        let nan = f32::NAN;
+        let got = geometry_of(&[1.0, 0.0, nan, nan, 0.0, 1.0], 3, 2);
+        assert_eq!(got.cosine_margin, 1.0);
+        assert!(got.norms[1].is_nan());
+        let got = geometry_of(&[nan, 0.0, nan, nan, 0.0, nan], 3, 2);
+        assert_eq!(got.cosine_margin, f32::INFINITY);
+    }
+
+    #[test]
+    fn distances_are_bit_identical_to_the_pairwise_loop() {
+        let mut values = Values(0xD1B5_4A32_D192_ED03);
+        for clients in [0, 1, 2, 3, 5, 6, 20, 33] {
+            for d in [0, 1, 63, 64, 65, 1000, 10_000] {
+                for fill in FILLS {
+                    let what = format!("clients={clients} d={d} {fill:?}");
+                    let shared = values.vector(d, fill);
+                    let mut rows: Vec<Vec<f32>> =
+                        (0..clients).map(|_| values.vector(d, fill)).collect();
+                    if clients > 2 && !matches!(fill, Fill::NonFinite) {
+                        rows[2].fill(0.0);
+                    }
+                    let got = cosine_distances(&rows, &shared);
+                    assert_eq!(got.len(), clients, "{what}");
+                    for (client, (&got, row)) in got.iter().zip(&rows).enumerate() {
+                        let want = reference::cosine_distance(row, &shared);
+                        same_bits(got, want, &format!("{what}: client {client}"));
+                        same_bits(cosine_distance(row, &shared), want, &what);
+                    }
+                    // Against an all-zero aggregate: 0.0 or 1.0 apiece.
+                    let still = vec![0.0f32; d];
+                    for (&got, row) in cosine_distances(&rows, &still).iter().zip(&rows) {
+                        let want = reference::cosine_distance(row, &still);
+                        same_bits(got, want, &format!("{what}: zero aggregate"));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn distances_cut_each_pair_to_the_length_it_shares() {
+        let mut values = Values(7);
+        let shared = values.vector(100, Fill::Floats);
+        let rows: Vec<Vec<f32>> = [100, 100, 64, 64, 130, 0, 100, 1, 1, 100]
+            .iter()
+            .map(|&len| values.vector(len, Fill::Floats))
+            .collect();
+        for (got, row) in cosine_distances(&rows, &shared).iter().zip(&rows) {
+            let want = reference::cosine_distance(row, &shared);
+            same_bits(*got, want, &format!("{} values", row.len()));
+        }
+    }
+
+    #[test]
+    fn l2_norm_is_the_one_chain_the_iterator_sum_ran() {
+        let mut values = Values(11);
+        for d in [0, 1, 2, 63, 64, 65, 1000] {
+            for fill in FILLS {
+                let v = values.vector(d, fill);
+                same_bits(
+                    l2_norm(&v),
+                    reference::l2_norm(&v),
+                    &format!("d={d} {fill:?}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_delta_pass_matches_the_two_it_replaced() {
+        let mut values = Values(13);
+        let mut out = vec![9.0; 3];
+        for (a_len, b_len) in [(0, 0), (0, 5), (1, 1), (65, 65), (1000, 1000), (70, 64)] {
+            for fill in FILLS {
+                let (a, b) = (values.vector(a_len, fill), values.vector(b_len, fill));
+                let rate = delta_and_sign_flip_rate(&a, &b, &mut out);
+                same_bits(rate, sign_flip_rate_slices(&a, &b), "flip rate");
+                assert_eq!(out.len(), a_len.min(b_len));
+                for ((&got, &x), &y) in out.iter().zip(&a).zip(&b) {
+                    same_bits(got, x - y, "delta");
+                }
+            }
+        }
     }
 
     #[test]

@@ -424,12 +424,11 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        let engine = t.engine.clone();
         let fields: [(&str, FieldValue); 10] = [
             ("arrived", u64::from(t.arrived).into()),
             ("client", t.client.into()),
             ("end_micros", t.timing.end_micros.into()),
-            ("engine", engine.as_str().into()),
+            ("engine", (&*t.engine).into()),
             ("enqueue_micros", t.timing.enqueue_micros.into()),
             ("round", t.round.into()),
             ("sim_compute_micros", t.sim_compute_micros.into()),

@@ -27,6 +27,7 @@
 //! two process lanes: measured worker threads and the simulated device
 //! fleet.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use crate::event::write_json_string;
@@ -76,8 +77,9 @@ pub struct TaskTrace {
     pub round: u64,
     /// Client identity (index into the federation's client list).
     pub client: u64,
-    /// Engine tag (`"fedhd"` or `"fedavg"`).
-    pub engine: String,
+    /// Engine tag (`"fedhd"` or `"fedavg"`): borrowed from the engine's
+    /// constant on the round path, owned when parsed back from JSONL.
+    pub engine: Cow<'static, str>,
     /// Whether the client's update arrived at the aggregator (false
     /// for stragglers).
     pub arrived: bool,
@@ -125,7 +127,7 @@ impl TaskTrace {
         Some(TaskTrace {
             round: get_u64("round")?,
             client: get_u64("client")?,
-            engine: fields.get("engine")?.as_str()?.to_string(),
+            engine: fields.get("engine")?.as_str()?.to_string().into(),
             arrived: get_u64("arrived")? != 0,
             timing: TaskTiming {
                 worker: get_u64("worker")?,
@@ -216,7 +218,7 @@ pub struct RoundTraceSummary {
     /// Round index.
     pub round: u64,
     /// Engine tag of the traced round.
-    pub engine: String,
+    pub engine: Cow<'static, str>,
     /// Number of traced tasks (sampled participants).
     pub tasks: u64,
     /// Distinct workers that executed tasks (0 when nothing was
@@ -248,7 +250,7 @@ pub fn summarize_round(rows: &[TaskTrace]) -> RoundTraceSummary {
     let (round, engine) = rows
         .first()
         .map(|r| (r.round, r.engine.clone()))
-        .unwrap_or((0, String::new()));
+        .unwrap_or((0, Cow::Borrowed("")));
 
     // Simulated critical path: ties resolve to the first participant.
     let mut critical_client = 0u64;

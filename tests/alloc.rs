@@ -20,6 +20,11 @@
 //!    aimed at. Measured with the process-global watermark; since
 //!    unrelated traffic can only inflate a peak, each count takes the
 //!    minimum of three runs.
+//! 5. A **steady-state recorded round allocates nothing model-sized** that
+//!    the same round without a recorder does not: the health block's
+//!    baseline, client deltas and aggregate delta live in buffers kept
+//!    from round to round. Counted from the process-wide size-class
+//!    histogram, which is exact while the file's lock is held.
 
 use fhdnn::channel::NoiselessChannel;
 use fhdnn::datasets::features::FeatureSpec;
@@ -32,6 +37,7 @@ use fhdnn::hdc::packed::{pack_signs, pack_signs_into, words_for, PackedBatch, Pa
 use fhdnn::nn::conv::{Conv2d, ConvGeometry};
 use fhdnn::nn::{Layer, Mode};
 use fhdnn::telemetry::mem;
+use fhdnn::telemetry::Recorder;
 use fhdnn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -172,20 +178,23 @@ fn conv_eval_scratch_is_one_block_whatever_the_batch() {
     );
 }
 
-/// Builds a one-round fedhd federation over `num_clients` clients with
-/// identical per-client data volume and full participation.
-fn run_one_round(num_clients: usize, seed: u64, transport: HdTransport) -> u64 {
-    const FDIM: usize = 1024;
+/// A fedhd federation over `num_clients` clients with identical
+/// per-client data volume and full participation, and its test set.
+fn federation(
+    num_clients: usize,
+    seed: u64,
+    transport: HdTransport,
+    (num_classes, dim, per_client): (usize, usize, usize),
+) -> (HdFederation, HdClientData) {
     let spec = FeatureSpec {
-        num_classes: 5,
+        num_classes,
         width: 40,
         noise_std: 0.6,
         class_seed: 11,
     };
-    let per_client = 25;
     let train = spec.generate(num_clients * per_client, seed).unwrap();
     let test = spec.generate(40, seed + 1).unwrap();
-    let enc = RandomProjectionEncoder::new(FDIM, 40, 3).unwrap();
+    let enc = RandomProjectionEncoder::new(dim, 40, 3).unwrap();
     let h_train = enc.encode_batch(&train.features).unwrap();
     let h_test = enc.encode_batch(&test.features).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -202,7 +211,7 @@ fn run_one_round(num_clients: usize, seed: u64, transport: HdTransport) -> u64 {
                 labels.push(train.labels[i]);
             }
             HdClientData {
-                hypervectors: Tensor::from_vec(data, &[idx.len(), FDIM]).unwrap(),
+                hypervectors: Tensor::from_vec(data, &[idx.len(), dim]).unwrap(),
                 labels,
             }
         })
@@ -216,12 +225,18 @@ fn run_one_round(num_clients: usize, seed: u64, transport: HdTransport) -> u64 {
         seed: 7,
         ..FlConfig::default()
     };
-    let global = HdModel::new(5, FDIM).unwrap();
-    let mut fed = HdFederation::new(global, clients, config, transport).unwrap();
+    let global = HdModel::new(num_classes, dim).unwrap();
+    let fed = HdFederation::new(global, clients, config, transport).unwrap();
     let test_data = HdClientData {
         hypervectors: h_test,
         labels: test.labels,
     };
+    (fed, test_data)
+}
+
+/// The round peak of a one-round federation of `num_clients` clients.
+fn run_one_round(num_clients: usize, seed: u64, transport: HdTransport) -> u64 {
+    let (mut fed, test_data) = federation(num_clients, seed, transport, (5, 1024, 25));
     let history = fed
         .run(&NoiselessChannel::new(), &test_data, "alloc")
         .unwrap();
@@ -284,4 +299,54 @@ fn packed_round_peak_memory_scales_with_client_count_but_stays_small() {
          float transport's ({float_large} B): binary updates retain one \
          sign bit per dimension, not an f32"
     );
+}
+
+#[test]
+fn steady_state_recorded_round_allocates_nothing_model_sized() {
+    let _alone = alone();
+    // 8 classes at d = 4096: a model of exactly 2^17 bytes, far above
+    // anything the recorder's own event and span storage asks for.
+    const SHAPE: (usize, usize, usize) = (8, 4096, 10);
+    const MODEL_BYTES: usize = SHAPE.0 * SHAPE.1 * 4;
+    assert!(MODEL_BYTES.is_power_of_two(), "one size class boundary");
+    let model_sized_allocations = || -> u64 {
+        let histogram = mem::size_class_histogram();
+        histogram[MODEL_BYTES.trailing_zeros() as usize..]
+            .iter()
+            .sum()
+    };
+    let quantized = HdTransport::Quantized { bitwidth: 8 };
+    // `saturation_fraction` still quantizes the new global once a round.
+    let quantize_words = 1;
+    for (transport, fleet, clients, excess) in [
+        (HdTransport::Binary, false, 4, 0),
+        (quantized, false, 4, quantize_words),
+        // More arrivals than reservoir slots: a replaced slot's buffer
+        // is written over, not dropped for a fresh one.
+        (HdTransport::Binary, true, 40, 0),
+        (quantized, true, 40, quantize_words),
+    ] {
+        let third_round = |recorded: bool| {
+            let (mut fed, test) = federation(clients, 5, transport, SHAPE);
+            if recorded {
+                fed.set_telemetry(Recorder::in_memory());
+                fed.set_fleet_telemetry(fleet);
+            }
+            let channel = NoiselessChannel::new();
+            for _warm_up in 0..2 {
+                fed.run_round(&channel, &test).unwrap();
+            }
+            let before = model_sized_allocations();
+            fed.run_round(&channel, &test).unwrap();
+            model_sized_allocations() - before
+        };
+        let (bare, recorded) = (third_round(false), third_round(true));
+        assert!(bare > 0, "tracking is live");
+        assert_eq!(
+            recorded,
+            bare + excess,
+            "{transport:?} fleet={fleet}: {recorded} allocations of {MODEL_BYTES} B or more \
+             in a recorded round, {bare} in the same round without a recorder"
+        );
+    }
 }
