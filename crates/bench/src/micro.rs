@@ -1,10 +1,11 @@
 //! Zero-dependency microbench harness.
 //!
-//! Criterion stays available for local deep-dives (`cargo bench`), but the
-//! tracked perf trajectory — `BENCH_kernels.json` / `BENCH_rounds.json` at
-//! the repo root — comes from this much smaller harness so it can run as a
-//! `repro` subcommand, in CI smoke mode, and inside the regression gate
-//! without extra tooling. The statistics are deliberately simple and
+//! The tracked perf trajectory — `BENCH_kernels.json` /
+//! `BENCH_rounds.json` at the repo root — comes from this small harness
+//! so it can run as a `repro` subcommand, in CI smoke mode, and inside
+//! the regression gate without extra tooling (the Criterion suite it
+//! once sat beside is gone: every shape it timed has a row here or in the
+//! campaign benchmark). The statistics are deliberately simple and
 //! robust: per-sample timing of fixed-iteration batches after a warmup,
 //! summarized by the median with the MAD (median absolute deviation) as
 //! the spread estimate, both insensitive to the occasional scheduler

@@ -4,10 +4,14 @@
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use fhdnn::channel::Channel;
 use fhdnn::checkpoint::FhdnnCheckpoint;
 use fhdnn::experiment::{ExperimentSpec, Workload};
+use fhdnn::extractor::FeatureExtractor;
+use fhdnn::federated::metrics::RunHistory;
 use fhdnn::hdc::encoder::RandomProjectionEncoder;
 use fhdnn::hdc::model::HdModel;
+use fhdnn::system::FhdnnSystem;
 use fhdnn::telemetry::profile::Profile;
 use fhdnn::telemetry::sink::MemorySink;
 use fhdnn::telemetry::{Recorder, Telemetry};
@@ -82,37 +86,69 @@ fn build_spec(sim: &SimulateArgs) -> ExperimentSpec {
     spec
 }
 
-/// Builds the run's recorder: streaming to JSONL when `--telemetry` is
-/// given, in-memory aggregation (for the end-of-run summary) otherwise —
-/// except under `--quiet` without a sink, where the shared disabled
-/// recorder keeps overhead at zero.
-fn build_recorder(sim: &SimulateArgs) -> Result<Telemetry, String> {
+/// An enabled recorder for a live run: streaming to JSONL when
+/// `--telemetry` is given, in-memory aggregation otherwise.
+fn enabled_recorder(sim: &SimulateArgs) -> Result<Telemetry, String> {
     match &sim.telemetry {
         Some(path) => open_telemetry(path),
-        None if sim.verbosity == Verbosity::Quiet => Ok(Recorder::disabled()),
         None => Ok(Recorder::in_memory()),
     }
 }
 
-fn simulate(sim: SimulateArgs) -> Result<(), String> {
+/// What a finished campaign leaves behind for its subcommand.
+struct Campaign {
+    spec: ExperimentSpec,
+    channel: Box<dyn Channel>,
+    extractor: FeatureExtractor,
+    system: FhdnnSystem,
+    history: RunHistory,
+}
+
+/// The one campaign runner behind `simulate` and the live modes of
+/// `profile`, `watch` and `trace`: spec → extractor → system → run →
+/// flush, observed by `tel`, announced as `fhdnn <label>` unless quiet.
+fn run_campaign(sim: &SimulateArgs, tel: &Telemetry, label: &str) -> Result<Campaign, String> {
     let channel = parse_channel(&sim.channel)?;
-    let spec = build_spec(&sim);
-    let tel = build_recorder(&sim)?;
-    let chatty = sim.verbosity != Verbosity::Quiet;
-    if chatty {
+    let spec = build_spec(sim);
+    if sim.verbosity != Verbosity::Quiet {
         println!(
-            "fhdnn simulate: workload={} channel={} rounds={} partition={} transport={:?}",
+            "fhdnn {label}: workload={} channel={} rounds={} partition={} transport={:?}",
             sim.workload, sim.channel, spec.fl.rounds, spec.partition, sim.transport
         );
     }
-
     let mut extractor = spec.build_extractor().map_err(|e| e.to_string())?;
     let mut system = spec
         .build_fhdnn_with_telemetry(&mut extractor, tel.clone())
         .map_err(|e| e.to_string())?;
     let history = system
-        .run(channel.as_ref(), "cli")
+        .run(channel.as_ref(), label)
         .map_err(|e| e.to_string())?;
+    tel.flush();
+    Ok(Campaign {
+        spec,
+        channel,
+        extractor,
+        system,
+        history,
+    })
+}
+
+fn simulate(sim: SimulateArgs) -> Result<(), String> {
+    // Under `--quiet` without a sink the shared disabled recorder keeps
+    // overhead at zero.
+    let tel = if sim.telemetry.is_none() && sim.verbosity == Verbosity::Quiet {
+        Recorder::disabled()
+    } else {
+        enabled_recorder(&sim)?
+    };
+    let chatty = sim.verbosity != Verbosity::Quiet;
+    let Campaign {
+        spec,
+        channel,
+        extractor,
+        system,
+        history,
+    } = run_campaign(&sim, &tel, "simulate")?;
     if chatty {
         match sim.verbosity {
             Verbosity::Verbose => {
@@ -201,35 +237,15 @@ fn profile(args: ProfileArgs) -> Result<(), String> {
     let prof = match &args.from {
         Some(path) => Profile::from_jsonl_str(&read_jsonl_lenient(path)?)?,
         None => {
-            let sim = &args.sim;
-            let channel = parse_channel(&sim.channel)?;
-            let spec = build_spec(sim);
             // Profiling needs an enabled recorder even under --quiet; the
             // stream still goes to --telemetry when requested.
-            let tel = match &sim.telemetry {
-                Some(path) => open_telemetry(path)?,
-                None => Recorder::in_memory(),
-            };
-            if sim.verbosity != Verbosity::Quiet {
-                println!(
-                    "fhdnn profile: workload={} channel={} rounds={} transport={:?}",
-                    sim.workload, sim.channel, spec.fl.rounds, sim.transport
-                );
-            }
-            let mut extractor = spec.build_extractor().map_err(|e| e.to_string())?;
-            let mut system = spec
-                .build_fhdnn_with_telemetry(&mut extractor, tel.clone())
-                .map_err(|e| e.to_string())?;
-            system
-                .run(channel.as_ref(), "profile")
-                .map_err(|e| e.to_string())?;
-            tel.flush();
-            let prof = Profile::from_recorder(&tel);
-            if sim.verbosity != Verbosity::Quiet {
+            let tel = enabled_recorder(&args.sim)?;
+            run_campaign(&args.sim, &tel, "profile")?;
+            if args.sim.verbosity != Verbosity::Quiet {
                 println!("\ntelemetry summary:");
                 print!("{}", tel.summary());
             }
-            prof
+            Profile::from_recorder(&tel)
         }
     };
 
@@ -255,35 +271,18 @@ fn watch(args: WatchArgs) -> Result<(), String> {
     let dash = match &args.from {
         Some(path) => Dashboard::from_jsonl_str(&read_jsonl_lenient(path)?),
         None => {
-            let sim = &args.sim;
-            let channel = parse_channel(&sim.channel)?;
-            let spec = build_spec(sim);
             // The dashboard folds the serialized event stream, so watch
             // always records into memory; --telemetry additionally
             // persists the same lines for later replay.
             let sink = Arc::new(MemorySink::new());
-            let tel = Recorder::with_sink(sink.clone());
-            if sim.verbosity != Verbosity::Quiet {
-                println!(
-                    "fhdnn watch: workload={} channel={} rounds={} transport={:?}",
-                    sim.workload, sim.channel, spec.fl.rounds, sim.transport
-                );
-            }
-            let mut extractor = spec.build_extractor().map_err(|e| e.to_string())?;
-            let mut system = spec
-                .build_fhdnn_with_telemetry(&mut extractor, tel.clone())
-                .map_err(|e| e.to_string())?;
-            system
-                .run(channel.as_ref(), "watch")
-                .map_err(|e| e.to_string())?;
-            tel.flush();
+            run_campaign(&args.sim, &Recorder::with_sink(sink.clone()), "watch")?;
             let stream = sink
                 .events()
                 .iter()
                 .map(|e| e.to_json())
                 .collect::<Vec<_>>()
                 .join("\n");
-            if let Some(path) = &sim.telemetry {
+            if let Some(path) = &args.sim.telemetry {
                 std::fs::write(path, format!("{stream}\n"))
                     .map_err(|e| format!("write {path}: {e}"))?;
             }
@@ -304,29 +303,10 @@ fn trace(args: TraceArgs) -> Result<(), String> {
     let rows = match &args.from {
         Some(path) => trace_view::rows_from_jsonl_str(&read_jsonl_lenient(path)?),
         None => {
-            let sim = &args.sim;
-            let channel = parse_channel(&sim.channel)?;
-            let spec = build_spec(sim);
             // Tracing needs an enabled recorder even under --quiet; the
             // stream still goes to --telemetry when requested.
-            let tel = match &sim.telemetry {
-                Some(path) => open_telemetry(path)?,
-                None => Recorder::in_memory(),
-            };
-            if sim.verbosity != Verbosity::Quiet {
-                println!(
-                    "fhdnn trace: workload={} channel={} rounds={} transport={:?}",
-                    sim.workload, sim.channel, spec.fl.rounds, sim.transport
-                );
-            }
-            let mut extractor = spec.build_extractor().map_err(|e| e.to_string())?;
-            let mut system = spec
-                .build_fhdnn_with_telemetry(&mut extractor, tel.clone())
-                .map_err(|e| e.to_string())?;
-            system
-                .run(channel.as_ref(), "trace")
-                .map_err(|e| e.to_string())?;
-            tel.flush();
+            let tel = enabled_recorder(&args.sim)?;
+            run_campaign(&args.sim, &tel, "trace")?;
             tel.trace_snapshot()
         }
     };

@@ -240,22 +240,22 @@ fn parse_transport(s: &str) -> Result<HdTransport, String> {
     }
 }
 
-/// Parses the `simulate` flag set out of an argument list. Shared by
-/// `simulate` and `profile` (which profiles the same simulation).
-fn parse_simulate_args(rest: &[&String]) -> Result<SimulateArgs, String> {
-    let get_value = |flag: &str| -> Result<Option<String>, String> {
-        let mut i = 0;
-        while i < rest.len() {
-            if rest[i] == flag {
-                return rest
-                    .get(i + 1)
-                    .map(|v| Some((*v).clone()))
-                    .ok_or(format!("{flag} needs a value"));
-            }
-            i += 1;
-        }
-        Ok(None)
+/// The value following the first occurrence of `flag`, if the flag is
+/// present at all.
+fn flag_value(rest: &[&String], flag: &str) -> Result<Option<String>, String> {
+    let Some(at) = rest.iter().position(|a| *a == flag) else {
+        return Ok(None);
     };
+    match rest.get(at + 1) {
+        Some(value) => Ok(Some((*value).clone())),
+        None => Err(format!("{flag} needs a value")),
+    }
+}
+
+/// Parses the `simulate` flag set out of an argument list. Shared by
+/// `simulate` and the live modes of `profile`, `watch` and `trace`.
+fn parse_simulate_args(rest: &[&String]) -> Result<SimulateArgs, String> {
+    let get_value = |flag| flag_value(rest, flag);
     let has_flag = |flag: &str| rest.iter().any(|a| *a == flag);
 
     let mut sim = SimulateArgs::default();
@@ -381,66 +381,31 @@ impl Cli {
         let mut it = args.iter();
         let command = it.next().ok_or("missing command")?;
         let rest: Vec<&String> = it.collect();
-        let get_value = |flag: &str| -> Result<Option<String>, String> {
-            let mut i = 0;
-            while i < rest.len() {
-                if rest[i] == flag {
-                    return rest
-                        .get(i + 1)
-                        .map(|v| Some((*v).clone()))
-                        .ok_or(format!("{flag} needs a value"));
-                }
-                i += 1;
-            }
-            Ok(None)
-        };
+        let get_value = |flag| flag_value(&rest, flag);
+        let has_flag = |flag: &str| rest.iter().any(|a| *a == flag);
 
-        match command.as_str() {
-            "simulate" => {
-                let sim = parse_simulate_args(&rest)?;
-                Ok(Cli {
-                    command: Command::Simulate(sim),
-                })
-            }
-            "profile" => {
-                let sim = parse_simulate_args(&rest)?;
-                let from = get_value("--from")?;
-                let collapsed = get_value("--collapsed")?;
-                let mem = rest.iter().any(|a| *a == "--mem");
-                Ok(Cli {
-                    command: Command::Profile(ProfileArgs {
-                        from,
-                        collapsed,
-                        mem,
-                        sim,
-                    }),
-                })
-            }
-            "watch" => {
-                let sim = parse_simulate_args(&rest)?;
-                let from = get_value("--from")?;
-                Ok(Cli {
-                    command: Command::Watch(WatchArgs { from, sim }),
-                })
-            }
-            "trace" => {
-                let sim = parse_simulate_args(&rest)?;
-                let from = get_value("--from")?;
-                let chrome = get_value("--chrome")?;
-                Ok(Cli {
-                    command: Command::Trace(TraceArgs { from, chrome, sim }),
-                })
-            }
-            "export" => {
-                let from = get_value("--from")?.ok_or("export needs --from")?;
-                let prom = get_value("--prom")?.ok_or("export needs --prom")?;
-                Ok(Cli {
-                    command: Command::Export { from, prom },
-                })
-            }
+        let command = match command.as_str() {
+            "simulate" => Command::Simulate(parse_simulate_args(&rest)?),
+            "profile" => Command::Profile(ProfileArgs {
+                sim: parse_simulate_args(&rest)?,
+                from: get_value("--from")?,
+                collapsed: get_value("--collapsed")?,
+                mem: has_flag("--mem"),
+            }),
+            "watch" => Command::Watch(WatchArgs {
+                sim: parse_simulate_args(&rest)?,
+                from: get_value("--from")?,
+            }),
+            "trace" => Command::Trace(TraceArgs {
+                sim: parse_simulate_args(&rest)?,
+                from: get_value("--from")?,
+                chrome: get_value("--chrome")?,
+            }),
+            "export" => Command::Export {
+                from: get_value("--from")?.ok_or("export needs --from")?,
+                prom: get_value("--prom")?.ok_or("export needs --prom")?,
+            },
             "lint" => {
-                let json = rest.iter().any(|a| *a == "--json");
-                let fix_baseline = rest.iter().any(|a| *a == "--fix-baseline");
                 let explain = get_value("--explain")?;
                 let root_value = get_value("--root")?;
                 if let Some(stray) = rest.iter().find(|a| {
@@ -452,56 +417,40 @@ impl Cli {
                 }) {
                     return Err(format!("lint: unexpected argument '{stray}'"));
                 }
-                Ok(Cli {
-                    command: Command::Lint(LintArgs {
-                        json,
-                        fix_baseline,
-                        explain,
-                        root: root_value.unwrap_or_else(|| ".".into()),
-                    }),
+                Command::Lint(LintArgs {
+                    json: has_flag("--json"),
+                    fix_baseline: has_flag("--fix-baseline"),
+                    explain,
+                    root: root_value.unwrap_or_else(|| ".".into()),
                 })
             }
-            "pretrain" => {
-                let workload =
-                    parse_workload(&get_value("--workload")?.ok_or("pretrain needs --workload")?)?;
-                let out = get_value("--out")?.ok_or("pretrain needs --out")?;
-                let seed = match get_value("--seed")? {
+            "pretrain" => Command::Pretrain {
+                workload: parse_workload(
+                    &get_value("--workload")?.ok_or("pretrain needs --workload")?,
+                )?,
+                out: get_value("--out")?.ok_or("pretrain needs --out")?,
+                seed: match get_value("--seed")? {
                     Some(s) => s.parse().map_err(|e| format!("--seed: {e}"))?,
                     None => 0,
-                };
-                Ok(Cli {
-                    command: Command::Pretrain {
-                        workload,
-                        out,
-                        seed,
-                    },
-                })
-            }
-            "evaluate" => {
-                let ckpt = get_value("--ckpt")?.ok_or("evaluate needs --ckpt")?;
-                let workload =
-                    parse_workload(&get_value("--workload")?.ok_or("evaluate needs --workload")?)?;
-                let test_size = match get_value("--test-size")? {
+                },
+            },
+            "evaluate" => Command::Evaluate {
+                ckpt: get_value("--ckpt")?.ok_or("evaluate needs --ckpt")?,
+                workload: parse_workload(
+                    &get_value("--workload")?.ok_or("evaluate needs --workload")?,
+                )?,
+                test_size: match get_value("--test-size")? {
                     Some(s) => s.parse().map_err(|e| format!("--test-size: {e}"))?,
                     None => 200,
-                };
-                Ok(Cli {
-                    command: Command::Evaluate {
-                        ckpt,
-                        workload,
-                        test_size,
-                    },
-                })
-            }
-            "info" => {
-                let ckpt = get_value("--ckpt")?.ok_or("info needs --ckpt")?;
-                Ok(Cli {
-                    command: Command::Info { ckpt },
-                })
-            }
-            "--help" | "-h" | "help" => Err(String::new()),
-            other => Err(format!("unknown command '{other}'")),
-        }
+                },
+            },
+            "info" => Command::Info {
+                ckpt: get_value("--ckpt")?.ok_or("info needs --ckpt")?,
+            },
+            "--help" | "-h" | "help" => return Err(String::new()),
+            other => return Err(format!("unknown command '{other}'")),
+        };
+        Ok(Cli { command })
     }
 }
 

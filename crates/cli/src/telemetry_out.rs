@@ -30,11 +30,12 @@ pub fn open_telemetry(path: &str) -> Result<Telemetry, String> {
 
 /// Reads a recorded `--from` JSONL stream, tolerating a truncated tail:
 /// a recording cut off mid-line (crashed run, partial copy, filled disk)
-/// still replays all of its complete lines. Unparseable lines — invalid
-/// UTF-8 is replaced, partial JSON is counted — produce one stderr
-/// warning naming the path and the skipped-line count; the replay views
-/// themselves skip those lines anyway, so the rendered output stays a
-/// pure function of the parseable prefix.
+/// still replays all of its complete lines. Lines the one stream reader
+/// (`jsonl::read_records`) cannot decode to a record — invalid UTF-8 is
+/// replaced first; a cut tail or foreign text is counted — produce one
+/// stderr warning naming the path and the skipped-line count; the replay
+/// views sit on the same reader and skip the same lines, so the rendered
+/// output stays a pure function of the decodable records.
 ///
 /// # Errors
 ///
@@ -42,11 +43,7 @@ pub fn open_telemetry(path: &str) -> Result<Telemetry, String> {
 pub fn read_jsonl_lenient(path: &str) -> Result<String, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
     let text = String::from_utf8_lossy(&bytes).into_owned();
-    let skipped = text
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && jsonl::parse(l).is_err())
-        .count();
+    let skipped = jsonl::read_records(&text, |_, _, _| {});
     if skipped > 0 {
         eprintln!(
             "warning: {path}: skipped {skipped} unparseable JSONL line(s) \

@@ -9,7 +9,7 @@
 //! `fhdnn::telemetry::trace::chrome_trace`; this module only decides
 //! what feeds it.
 
-use fhdnn::telemetry::jsonl::{self, Value};
+use fhdnn::telemetry::jsonl;
 use fhdnn::telemetry::registry::EVENT_TRACE_TASK;
 use fhdnn::telemetry::trace::{summarize, TaskTrace};
 use std::fmt::Write as _;
@@ -21,26 +21,11 @@ use std::fmt::Write as _;
 /// as-is — including pre-trace recordings, which yield an empty vec.
 pub fn rows_from_jsonl_str(stream: &str) -> Vec<TaskTrace> {
     let mut rows = Vec::new();
-    for line in stream.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    jsonl::read_records(stream, |kind, name, fields| {
+        if kind == "event" && name == EVENT_TRACE_TASK {
+            rows.extend(TaskTrace::from_event_fields(fields));
         }
-        let Ok(v) = jsonl::parse(line) else {
-            continue;
-        };
-        if v.get("kind").and_then(Value::as_str) != Some("event")
-            || v.get("name").and_then(Value::as_str) != Some(EVENT_TRACE_TASK)
-        {
-            continue;
-        }
-        let Some(fields) = v.get("fields") else {
-            continue;
-        };
-        if let Some(row) = TaskTrace::from_event_fields(fields) {
-            rows.push(row);
-        }
-    }
+    });
     rows
 }
 

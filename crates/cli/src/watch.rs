@@ -13,6 +13,7 @@ use fhdnn::federated::health::HealthRecord;
 use fhdnn::telemetry::jsonl::{self, Value};
 use fhdnn::telemetry::mem::fmt_bytes;
 use fhdnn::telemetry::registry::{EVENT_ALERT, EVENT_HEALTH_ROUND, EVENT_TRACE_ROUND};
+use fhdnn::telemetry::trace::RoundTraceSummary;
 use std::fmt::Write as _;
 
 /// How many trailing rounds the per-round table shows; earlier rounds are
@@ -32,53 +33,13 @@ pub struct AlertRow {
     pub message: String,
 }
 
-/// One per-round execution-trace summary recovered from the stream
-/// (the `trace.round` event the round engines emit).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRow {
-    /// Round index.
-    pub round: u64,
-    /// Engine tag (`fedhd` / `fedavg`).
-    pub engine: String,
-    /// Traced tasks (sampled participants).
-    pub tasks: u64,
-    /// Distinct pool workers that executed tasks.
-    pub workers: u64,
-    /// Measured fraction of worker capacity spent executing.
-    pub worker_utilization: f64,
-    /// Peak count of tasks enqueued but not yet started.
-    pub queue_depth_max: u64,
-    /// Client whose simulated cost bounded the barrier.
-    pub critical_client: u64,
-    /// The critical client's simulated cost, microseconds.
-    pub sim_critical_micros: u64,
-    /// Simulated AIoT wall time of the whole round, microseconds.
-    pub sim_round_micros: u64,
-}
-
-impl TraceRow {
-    fn from_event_fields(fields: &Value) -> Option<TraceRow> {
-        let get_u64 = |key: &str| -> Option<u64> { Some(fields.get(key)?.as_f64()? as u64) };
-        Some(TraceRow {
-            round: get_u64("round")?,
-            engine: fields.get("engine")?.as_str()?.to_string(),
-            tasks: get_u64("tasks")?,
-            workers: get_u64("workers")?,
-            worker_utilization: fields.get("worker_utilization")?.as_f64()?,
-            queue_depth_max: get_u64("queue_depth_max")?,
-            critical_client: get_u64("critical_client")?,
-            sim_critical_micros: get_u64("sim_critical_micros")?,
-            sim_round_micros: get_u64("sim_round_micros")?,
-        })
-    }
-}
-
 /// A replayable model-health dashboard.
 #[derive(Debug, Clone, Default)]
 pub struct Dashboard {
     records: Vec<HealthRecord>,
     alerts: Vec<AlertRow>,
-    traces: Vec<TraceRow>,
+    /// The `trace.round` summaries the round engines emit.
+    traces: Vec<RoundTraceSummary>,
 }
 
 impl Dashboard {
@@ -88,53 +49,28 @@ impl Dashboard {
     /// replays as-is.
     pub fn from_jsonl_str(stream: &str) -> Dashboard {
         let mut dash = Dashboard::default();
-        for line in stream.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
+        jsonl::read_records(stream, |kind, name, fields| {
+            if kind != "event" {
+                return;
             }
-            let Ok(v) = jsonl::parse(line) else {
-                continue;
-            };
-            if v.get("kind").and_then(Value::as_str) != Some("event") {
-                continue;
-            }
-            let Some(fields) = v.get("fields") else {
-                continue;
-            };
-            match v.get("name").and_then(Value::as_str) {
-                Some(EVENT_HEALTH_ROUND) => {
-                    if let Some(rec) = HealthRecord::from_event_fields(fields) {
-                        dash.records.push(rec);
-                    }
+            match name {
+                EVENT_HEALTH_ROUND => dash.records.extend(HealthRecord::from_event_fields(fields)),
+                EVENT_TRACE_ROUND => {
+                    dash.traces
+                        .extend(RoundTraceSummary::from_event_fields(fields));
                 }
-                Some(EVENT_TRACE_ROUND) => {
-                    if let Some(row) = TraceRow::from_event_fields(fields) {
-                        dash.traces.push(row);
-                    }
-                }
-                Some(EVENT_ALERT) => {
-                    let s = |k: &str| {
-                        fields
-                            .get(k)
-                            .and_then(Value::as_str)
-                            .unwrap_or_default()
-                            .to_string()
-                    };
+                EVENT_ALERT => {
+                    let text = |k| fields.get(k).and_then(Value::as_str).unwrap_or_default();
                     dash.alerts.push(AlertRow {
-                        rule: s("rule"),
-                        severity: s("severity"),
-                        round: fields
-                            .get("round")
-                            .and_then(Value::as_f64)
-                            .unwrap_or(0.0)
-                            .max(0.0) as u64,
-                        message: s("message"),
+                        rule: text("rule").to_string(),
+                        severity: text("severity").to_string(),
+                        round: fields.get("round").and_then(Value::as_f64).unwrap_or(0.0) as u64,
+                        message: text("message").to_string(),
                     });
                 }
                 _ => {}
             }
-        }
+        });
         dash
     }
 
@@ -150,7 +86,7 @@ impl Dashboard {
 
     /// Parsed `trace.round` summaries, in stream order. Empty for
     /// streams recorded before execution tracing existed.
-    pub fn traces(&self) -> &[TraceRow] {
+    pub fn traces(&self) -> &[RoundTraceSummary] {
         &self.traces
     }
 
@@ -303,10 +239,10 @@ impl Dashboard {
         // simulated cost bounded the barrier); untraced streams render
         // the pre-trace table byte-for-byte.
         let has_traces = !self.traces.is_empty();
-        let trace_of: std::collections::BTreeMap<(&str, u64), &TraceRow> = self
+        let trace_of: std::collections::BTreeMap<(&str, u64), &RoundTraceSummary> = self
             .traces
             .iter()
-            .map(|t| ((t.engine.as_str(), t.round), t))
+            .map(|t| ((&*t.engine, t.round), t))
             .collect();
         out.push_str(if has_traces {
             "round  accuracy  sat%   margin  flip%  div     max|z|  bits  erased  drops  crit  outliers\n"
@@ -371,134 +307,107 @@ impl Dashboard {
     /// latest-round values and counters for run totals. Empty streams
     /// produce only the alert totals (both zero).
     pub fn prometheus(&self) -> String {
-        fn gauge_metric(out: &mut String, name: &str, help: &str, labels: &str, value: f64) {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let v = if value.is_finite() { value } else { 0.0 };
-            let _ = writeln!(out, "{name}{labels} {v}");
+        /// One gauge family per `(name, help, value)` row: headers plus
+        /// one sample, non-finite values exported as 0.
+        fn gauges(out: &mut String, labels: &str, families: &[(&str, &str, f64)]) {
+            for &(name, help, value) in families {
+                let _ = writeln!(out, "# HELP {name} {help}");
+                let _ = writeln!(out, "# TYPE {name} gauge");
+                let v = if value.is_finite() { value } else { 0.0 };
+                let _ = writeln!(out, "{name}{labels} {v}");
+            }
         }
         let mut out = String::new();
         if let Some(last) = self.records.last() {
             let labels = format!("{{engine=\"{}\"}}", last.engine.replace('"', ""));
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_round",
-                "Latest federated round index.",
-                &labels,
-                last.round as f64,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_test_accuracy",
-                "Global-model test accuracy after aggregation.",
-                &labels,
-                last.test_accuracy,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_participants",
-                "Clients sampled in the latest round.",
-                &labels,
-                last.participants as f64,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_arrived",
-                "Client updates that arrived in the latest round.",
-                &labels,
-                last.arrived as f64,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_norm_min",
-                "Smallest per-class prototype L2 norm.",
-                &labels,
-                last.norm_min,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_norm_max",
-                "Largest per-class prototype L2 norm.",
-                &labels,
-                last.norm_max,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_norm_mean",
-                "Mean per-class prototype L2 norm.",
-                &labels,
-                last.norm_mean,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_noise_energy",
-                "Channel noise energy injected in the latest round.",
-                &labels,
-                last.noise_energy,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_saturation",
-                "Counter-saturation fraction of the quantized global model.",
-                &labels,
-                last.saturation,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_cosine_margin",
-                "Minimum pairwise inter-class cosine separation.",
-                &labels,
-                last.cosine_margin,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_sign_flip_rate",
-                "Fraction of model entries that flipped sign last round.",
-                &labels,
-                last.sign_flip_rate,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_mean_divergence",
-                "Mean cosine distance of client deltas from the aggregate.",
-                &labels,
-                last.mean_divergence,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_max_abs_z",
-                "Largest client divergence |z-score| in the latest round.",
-                &labels,
-                last.max_abs_z,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_health_outlier_clients",
-                "Clients flagged as divergence outliers in the latest round.",
-                &labels,
-                last.outlier_clients.len() as f64,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_mem_peak_bytes",
-                "Peak heap bytes above the round-start level, latest round.",
-                &labels,
-                last.mem_peak_bytes as f64,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_mem_allocs",
-                "Heap allocations during the latest round.",
-                &labels,
-                last.mem_allocs as f64,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_mem_bytes_per_client",
-                "Gross bytes allocated per sampled client, latest round.",
-                &labels,
-                last.mem_bytes_per_client as f64,
-            );
+            let families = [
+                (
+                    "fhdnn_health_round",
+                    "Latest federated round index.",
+                    last.round as f64,
+                ),
+                (
+                    "fhdnn_health_test_accuracy",
+                    "Global-model test accuracy after aggregation.",
+                    last.test_accuracy,
+                ),
+                (
+                    "fhdnn_health_participants",
+                    "Clients sampled in the latest round.",
+                    last.participants as f64,
+                ),
+                (
+                    "fhdnn_health_arrived",
+                    "Client updates that arrived in the latest round.",
+                    last.arrived as f64,
+                ),
+                (
+                    "fhdnn_health_norm_min",
+                    "Smallest per-class prototype L2 norm.",
+                    last.norm_min,
+                ),
+                (
+                    "fhdnn_health_norm_max",
+                    "Largest per-class prototype L2 norm.",
+                    last.norm_max,
+                ),
+                (
+                    "fhdnn_health_norm_mean",
+                    "Mean per-class prototype L2 norm.",
+                    last.norm_mean,
+                ),
+                (
+                    "fhdnn_health_noise_energy",
+                    "Channel noise energy injected in the latest round.",
+                    last.noise_energy,
+                ),
+                (
+                    "fhdnn_health_saturation",
+                    "Counter-saturation fraction of the quantized global model.",
+                    last.saturation,
+                ),
+                (
+                    "fhdnn_health_cosine_margin",
+                    "Minimum pairwise inter-class cosine separation.",
+                    last.cosine_margin,
+                ),
+                (
+                    "fhdnn_health_sign_flip_rate",
+                    "Fraction of model entries that flipped sign last round.",
+                    last.sign_flip_rate,
+                ),
+                (
+                    "fhdnn_health_mean_divergence",
+                    "Mean cosine distance of client deltas from the aggregate.",
+                    last.mean_divergence,
+                ),
+                (
+                    "fhdnn_health_max_abs_z",
+                    "Largest client divergence |z-score| in the latest round.",
+                    last.max_abs_z,
+                ),
+                (
+                    "fhdnn_health_outlier_clients",
+                    "Clients flagged as divergence outliers in the latest round.",
+                    last.outlier_clients.len() as f64,
+                ),
+                (
+                    "fhdnn_mem_peak_bytes",
+                    "Peak heap bytes above the round-start level, latest round.",
+                    last.mem_peak_bytes as f64,
+                ),
+                (
+                    "fhdnn_mem_allocs",
+                    "Heap allocations during the latest round.",
+                    last.mem_allocs as f64,
+                ),
+                (
+                    "fhdnn_mem_bytes_per_client",
+                    "Gross bytes allocated per sampled client, latest round.",
+                    last.mem_bytes_per_client as f64,
+                ),
+            ];
+            gauges(&mut out, &labels, &families);
             // Sketch-derived families only exist on fleet-capable
             // streams; a zero cohort estimate marks a pre-fleet stream,
             // whose exposition stays exactly what it was.
@@ -518,34 +427,29 @@ impl Dashboard {
                     let v = if v.is_finite() { v } else { 0.0 };
                     let _ = writeln!(out, "{name}{{engine=\"{engine}\",quantile=\"{q}\"}} {v}");
                 }
-                gauge_metric(
-                    &mut out,
-                    "fhdnn_health_uplink_p99_bytes",
-                    "p99 of per-client uplink bytes in the latest round.",
-                    &labels,
-                    last.uplink_p99_bytes as f64,
-                );
-                gauge_metric(
-                    &mut out,
-                    "fhdnn_health_damage_p99",
-                    "p99 of per-client channel damage events in the latest round.",
-                    &labels,
-                    last.damage_p99 as f64,
-                );
-                gauge_metric(
-                    &mut out,
-                    "fhdnn_health_sim_compute_p99_micros",
-                    "p99 of per-client simulated compute in the latest round, microseconds.",
-                    &labels,
-                    last.sim_compute_p99_micros as f64,
-                );
-                gauge_metric(
-                    &mut out,
-                    "fhdnn_health_cohort_clients",
-                    "Estimated distinct clients seen across the run so far.",
-                    &labels,
-                    last.cohort_clients as f64,
-                );
+                let families = [
+                    (
+                        "fhdnn_health_uplink_p99_bytes",
+                        "p99 of per-client uplink bytes in the latest round.",
+                        last.uplink_p99_bytes as f64,
+                    ),
+                    (
+                        "fhdnn_health_damage_p99",
+                        "p99 of per-client channel damage events in the latest round.",
+                        last.damage_p99 as f64,
+                    ),
+                    (
+                        "fhdnn_health_sim_compute_p99_micros",
+                        "p99 of per-client simulated compute in the latest round, microseconds.",
+                        last.sim_compute_p99_micros as f64,
+                    ),
+                    (
+                        "fhdnn_health_cohort_clients",
+                        "Estimated distinct clients seen across the run so far.",
+                        last.cohort_clients as f64,
+                    ),
+                ];
+                gauges(&mut out, &labels, &families);
             }
             let trace_dropped: u64 = self.records.iter().map(|r| r.trace_dropped).sum();
             if trace_dropped > 0 {
@@ -582,34 +486,29 @@ impl Dashboard {
         }
         if let Some(t) = self.traces.last() {
             let labels = format!("{{engine=\"{}\"}}", t.engine.replace('"', ""));
-            gauge_metric(
-                &mut out,
-                "fhdnn_trace_worker_utilization",
-                "Fraction of pool-worker capacity spent executing, latest round.",
-                &labels,
-                t.worker_utilization,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_trace_queue_depth_max",
-                "Peak count of tasks enqueued but not yet started, latest round.",
-                &labels,
-                t.queue_depth_max as f64,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_trace_critical_client",
-                "Client whose simulated cost bounded the latest round's barrier.",
-                &labels,
-                t.critical_client as f64,
-            );
-            gauge_metric(
-                &mut out,
-                "fhdnn_trace_sim_round_micros",
-                "Simulated AIoT wall time of the latest round, microseconds.",
-                &labels,
-                t.sim_round_micros as f64,
-            );
+            let families = [
+                (
+                    "fhdnn_trace_worker_utilization",
+                    "Fraction of pool-worker capacity spent executing, latest round.",
+                    t.worker_utilization,
+                ),
+                (
+                    "fhdnn_trace_queue_depth_max",
+                    "Peak count of tasks enqueued but not yet started, latest round.",
+                    t.queue_depth_max as f64,
+                ),
+                (
+                    "fhdnn_trace_critical_client",
+                    "Client whose simulated cost bounded the latest round's barrier.",
+                    t.critical_client as f64,
+                ),
+                (
+                    "fhdnn_trace_sim_round_micros",
+                    "Simulated AIoT wall time of the latest round, microseconds.",
+                    t.sim_round_micros as f64,
+                ),
+            ];
+            gauges(&mut out, &labels, &families);
         }
         let warnings = self
             .alerts

@@ -14,7 +14,6 @@
 use fhdnn_channel::lte::LteLink;
 use fhdnn_channel::{Channel, ChannelStats, ChannelStatsSnapshot};
 use fhdnn_telemetry::alert::{emit_alerts, AlertEngine};
-use fhdnn_telemetry::registry::EVENT_TRACE_ROUND;
 use fhdnn_telemetry::sketch::{DistinctEstimator, Reservoir, Sample};
 use fhdnn_telemetry::task::TaskBuffer;
 use fhdnn_telemetry::trace::TaskTrace;
@@ -490,26 +489,7 @@ impl RoundDriver {
             }
             tel.incr("trace.tasks", traced);
             tel.gauge("trace.worker_utilization", trace_summary.worker_utilization);
-            tel.event(
-                EVENT_TRACE_ROUND,
-                &[
-                    ("critical_client", trace_summary.critical_client.into()),
-                    ("engine", (&*trace_summary.engine).into()),
-                    ("queue_depth_max", trace_summary.queue_depth_max.into()),
-                    ("round", trace_summary.round.into()),
-                    (
-                        "sim_critical_micros",
-                        trace_summary.sim_critical_micros.into(),
-                    ),
-                    ("sim_round_micros", trace_summary.sim_round_micros.into()),
-                    ("tasks", trace_summary.tasks.into()),
-                    (
-                        "worker_utilization",
-                        trace_summary.worker_utilization.into(),
-                    ),
-                    ("workers", trace_summary.workers.into()),
-                ],
-            );
+            trace_summary.emit(&tel);
 
             // Flight record: model diagnostics on the new global,
             // client-divergence outliers, channel-damage attribution.
@@ -896,7 +876,7 @@ mod tests {
             let (rounds, _) = campaign(&mut driver);
             let count = |name: &str| sink.events().iter().filter(|e| e.name == name).count();
             assert_eq!(count("health.round"), rounds.len());
-            assert_eq!(count(EVENT_TRACE_ROUND), rounds.len());
+            assert_eq!(count("trace.round"), rounds.len());
             let tasks = if fleet { 0 } else { 8 * rounds.len() };
             assert_eq!(count("trace.task"), tasks, "fleet={fleet}");
         }

@@ -1,11 +1,13 @@
 //! A minimal JSON reader for telemetry's own JSONL output.
 //!
 //! The crate stays free of external dependencies, so replaying a recorded
-//! `--telemetry` stream (see [`crate::profile`]) needs a small parser of
-//! its own. This is a strict recursive-descent parser over the full JSON
-//! grammar — objects, arrays, strings with escapes, numbers, booleans,
-//! null — kept deliberately tiny (no borrowed-slice zero-copy tricks, no
-//! streaming) because telemetry lines are short and parsed once.
+//! `--telemetry` stream needs a small parser of its own. [`parse`] is a
+//! strict recursive-descent parser over the full JSON grammar — objects,
+//! arrays, strings with escapes, numbers, booleans, null — kept
+//! deliberately tiny (no borrowed-slice zero-copy tricks, no streaming)
+//! because telemetry lines are short and parsed once. [`read_records`]
+//! is the one stream reader every replay view sits on: the inverse of
+//! [`crate::event::Event::to_json`], line by line.
 
 use std::collections::BTreeMap;
 
@@ -69,6 +71,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -79,9 +82,37 @@ pub fn parse(input: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// Walks a recorded telemetry stream once, line by line — the inverse of
+/// [`crate::event::Event::to_json`]. `on_record(kind, name, fields)` runs
+/// for every line that decodes to a record (a JSON object with string
+/// `kind` and `name` and an object `fields`; the field values are what
+/// the `from_event_fields` parsers take). Blank lines are ignored; the
+/// return value counts every other line — a tail cut mid-line, foreign
+/// text, JSON that is not a record.
+pub fn read_records(stream: &str, mut on_record: impl FnMut(&str, &str, &Value)) -> usize {
+    let mut skipped = 0;
+    for line in stream.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        let doc = parse(line).ok();
+        let record = doc.as_ref().and_then(|v| {
+            let fields = v.get("fields").filter(|f| f.as_obj().is_some())?;
+            Some((v.get("kind")?.as_str()?, v.get("name")?.as_str()?, fields))
+        });
+        match record {
+            Some((kind, name, fields)) => on_record(kind, name, fields),
+            None => skipped += 1,
+        }
+    }
+    skipped
+}
+
+/// Nesting beyond this is rejected rather than recursed into: a hostile
+/// line of a hundred thousand `[` must be an error, not a stack overflow.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -124,8 +155,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.eat_literal("true", Value::Bool(true)),
             Some(b'f') => self.eat_literal("false", Value::Bool(false)),
@@ -133,6 +164,19 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected character at byte {}", self.pos)),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, String>,
+    ) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting too deep at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -295,8 +339,132 @@ impl Parser<'_> {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/proptest_util.rs"]
+mod proptest_util;
+
+#[cfg(test)]
 mod tests {
+    use super::proptest_util::{check, Gen};
     use super::*;
+    use crate::event::{Event, EventKind, FieldValue};
+
+    /// A random event: any kind, every `FieldValue` variant, and the
+    /// text and numbers a serializer is most likely to get wrong.
+    fn random_event(g: &mut Gen) -> Event {
+        const KINDS: [EventKind; 5] = [
+            EventKind::Span,
+            EventKind::Counter,
+            EventKind::Gauge,
+            EventKind::Hist,
+            EventKind::Event,
+        ];
+        const TEXT: [&str; 8] = [
+            "",
+            "round.transmit",
+            "quo\"te",
+            "back\\slash",
+            "line\nfeed\r\ttab",
+            "\u{1}\u{1f}\u{7f}",
+            "é😀",
+            "round;round.transmit",
+        ];
+        const FLOATS: [f64; 5] = [0.1, -1.5e-300, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let text = |g: &mut Gen| TEXT[g.usize_below(TEXT.len())];
+        let fields: Vec<(String, FieldValue)> = (0..g.usize_below(6))
+            .map(|i| {
+                let value = match g.usize_below(5) {
+                    // Integers are exact up to 2^53 inclusive.
+                    0 => FieldValue::U64(g.next_u64() >> (11 + g.usize_below(53))),
+                    1 => FieldValue::U64(1 << 53),
+                    2 => FieldValue::F64(FLOATS[g.usize_below(FLOATS.len())]),
+                    3 => FieldValue::F64(f64::from_bits(g.next_u64())),
+                    _ => FieldValue::Str(text(g).into()),
+                };
+                (format!("{}{i}", text(g)), value)
+            })
+            .collect();
+        let fields: Vec<(&str, FieldValue)> = fields
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.clone()))
+            .collect();
+        Event::new(g.next_u64(), KINDS[g.usize_below(5)], text(g), &fields)
+    }
+
+    #[test]
+    fn reader_inverts_the_event_serializer() {
+        check(0x0010_ADED, 2_000, |case, g| {
+            let e = random_event(g);
+            let line = e.to_json();
+            let mut seen = 0;
+            let skipped = read_records(&line, |kind, name, fields| {
+                seen += 1;
+                assert_eq!((kind, name), (e.kind.as_str(), e.name.as_str()));
+                let got = fields.as_obj().unwrap();
+                assert_eq!(got.len(), e.fields.len(), "case {case}: {line}");
+                for (key, value) in &e.fields {
+                    let want = match value {
+                        FieldValue::U64(n) => Value::Num(*n as f64),
+                        FieldValue::F64(x) if x.is_finite() => Value::Num(*x),
+                        FieldValue::F64(_) => Value::Null,
+                        FieldValue::Str(s) => Value::Str(s.clone()),
+                    };
+                    assert_eq!(got[key], want, "case {case}: field {key:?} of {line}");
+                }
+            });
+            assert_eq!((seen, skipped), (1, 0), "case {case}: {line}");
+        });
+    }
+
+    #[test]
+    fn reader_yields_complete_records_and_counts_the_rest() {
+        let good = Event::new(1, EventKind::Counter, "x", &[("delta", 1u64.into())]).to_json();
+        let cut = &good[..good.len() / 2];
+        // CRLF endings, blank lines, garbage, JSON that is not a record
+        // (no fields; not an object; fields not an object), a cut tail.
+        let stream = format!(
+            "{good}\r\n\r\n   \nnot json\n{good}\n{{\"kind\":\"span\",\"name\":\"a\"}}\n[1,2]\n\
+             {{\"kind\":\"span\",\"name\":\"a\",\"fields\":3}}\n{good}\n{cut}"
+        );
+        let mut names = Vec::new();
+        let skipped = read_records(&stream, |kind, name, fields| {
+            assert_eq!(fields.get("delta"), Some(&Value::Num(1.0)));
+            names.push(format!("{kind}:{name}"));
+        });
+        assert_eq!(names, ["counter:x"; 3]);
+        assert_eq!(skipped, 5);
+        assert_eq!(read_records("", |_, _, _| unreachable!()), 0);
+    }
+
+    #[test]
+    fn reader_survives_hostile_bytes() {
+        const ALPHABET: &[u8] = b"{}[]\",:\\/ \n\r\t-+.0123456789eEtrufalsn\x00\x7f\xc3\xa9\xf0";
+        check(0x00F0_22ED, 10_000, |_, g| {
+            // Random byte strings, biased towards JSON's own alphabet,
+            // and single-byte mutations of valid lines.
+            let bytes: Vec<u8> = if g.bool() {
+                (0..g.usize_below(48))
+                    .map(|_| match g.bool() {
+                        true => ALPHABET[g.usize_below(ALPHABET.len())],
+                        false => g.next_u64() as u8,
+                    })
+                    .collect()
+            } else {
+                let mut line = random_event(g).to_json().into_bytes();
+                let at = g.usize_below(line.len());
+                line[at] = g.next_u64() as u8;
+                line
+            };
+            let text = String::from_utf8_lossy(&bytes);
+            let mut records = 0;
+            let skipped = read_records(&text, |_, _, _| records += 1);
+            assert!(records + skipped <= text.lines().count());
+        });
+        // Nesting is bounded: an error, not a stack overflow.
+        let nested = |depth: usize| format!("{}1{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[{\"a\":".repeat(100_000)).is_err());
+    }
 
     #[test]
     fn parses_telemetry_lines() {

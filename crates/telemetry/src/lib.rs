@@ -8,7 +8,7 @@
 //!
 //! The building blocks:
 //!
-//! - [`Recorder`] — counters, gauges, log2-bucket histograms and timed
+//! - [`Recorder`] — counters, gauges, value distributions and timed
 //!   [`SpanGuard`] spans, aggregated in memory and streamed to a sink,
 //! - sinks — [`sink::NoopSink`] (near-zero overhead when disabled),
 //!   [`sink::MemorySink`] (tests), [`sink::JsonlSink`] (one JSON object
@@ -45,7 +45,6 @@
 pub mod alert;
 pub mod clock;
 pub mod event;
-pub mod histogram;
 pub mod jsonl;
 pub mod mem;
 pub mod profile;
@@ -57,13 +56,14 @@ pub mod trace;
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use clock::{Clock, SystemClock};
 use event::{Event, EventKind, FieldValue};
-use histogram::Histogram;
 use sink::{JsonlSink, NoopSink, Sink};
+use sketch::QuantileSketch;
 use task::{TaskBuffer, TaskEntry};
 
 /// The shared handle everything holds: a cheaply-clonable recorder.
@@ -79,20 +79,22 @@ pub struct SpanStat {
 }
 
 /// Aggregate of one span *path* (the `;`-joined chain of enclosing span
-/// names, innermost last): completions, total duration, and a log2
-/// histogram of individual durations for percentile queries.
+/// names, innermost last): completions, total duration, and a sketch of
+/// individual durations for quantile queries.
 ///
-/// Paths are what the [`profile`] module's span-tree profiler consumes;
-/// the flat per-name [`SpanStat`]s remain available for summary tables
-/// and equal the per-name sum of path stats.
+/// This is the one span aggregate: live span closes and stream replay
+/// both feed it through [`PathStat::record`], the [`profile`] module's
+/// span tree is folded from it, and the flat per-name [`SpanStat`]s of
+/// the summary tables are its per-name sums.
 #[derive(Debug, Clone, Default)]
 pub struct PathStat {
     /// Completed span count on this path.
     pub count: u64,
     /// Total duration across completions, microseconds.
     pub total_micros: u64,
-    /// Distribution of individual span durations, microseconds.
-    pub durations: Histogram,
+    /// Distribution of individual span durations, microseconds
+    /// (`total_micros / count` is the exact mean).
+    pub durations: QuantileSketch,
     /// Allocations attributed to this path: performed by the owning
     /// thread while the span was open — inclusive of children, exactly
     /// like `total_micros` (the profiler derives self-allocations by
@@ -102,16 +104,120 @@ pub struct PathStat {
     pub alloc_bytes: u64,
 }
 
+impl PathStat {
+    /// Folds one completed span into the aggregate.
+    pub fn record(&mut self, micros: u64, allocs: u64, alloc_bytes: u64) {
+        self.count += 1;
+        self.total_micros += micros;
+        self.durations.observe(micros as f64);
+        self.allocs += allocs;
+        self.alloc_bytes += alloc_bytes;
+    }
+}
+
 /// Separator between span names in a recorded path — the same character
 /// the collapsed-stack (flamegraph) format uses, so paths double as
 /// ready-made stack frames.
 pub const PATH_SEPARATOR: char = ';';
 
+/// The names of the spans currently open on one thread of work — an OS
+/// thread, or one [`TaskBuffer`] — outermost first. This is the one place
+/// span paths are joined and an out-of-order close is healed.
+#[derive(Debug, Default)]
+pub(crate) struct SpanStack(Vec<&'static str>);
+
+impl SpanStack {
+    pub(crate) const fn new() -> Self {
+        SpanStack(Vec::new())
+    }
+
+    /// Opens `name` under the spans already open; returns its 1-based
+    /// depth. [`SpanStack::joined`] is its full path until the next call.
+    fn open(&mut self, name: &'static str) -> usize {
+        self.0.push(name);
+        self.0.len()
+    }
+
+    /// Closes the span opened at `depth` together with anything still
+    /// open under it. Truncating rather than popping is what heals the
+    /// stack when a parent closes before its children; the children's
+    /// own late closes then find their depth gone and change nothing.
+    fn close(&mut self, depth: usize) {
+        self.0.truncate(depth - 1);
+    }
+
+    /// The `;`-joined path of the open spans (empty when none are), in
+    /// one exactly-sized allocation: what a span's bookkeeping allocates
+    /// must not depend on what ran on the thread before it, or same-seed
+    /// streams stop being byte-identical.
+    fn joined(&self) -> String {
+        let mut path = String::with_capacity(self.0.iter().map(|s| s.len() + 1).sum());
+        for (i, name) in self.0.iter().enumerate() {
+            if i > 0 {
+                path.push(PATH_SEPARATOR);
+            }
+            path.push_str(name);
+        }
+        path
+    }
+}
+
+/// One open span: what [`SpanGuard`] and [`task::TaskSpan`] both hold
+/// between open and close.
+#[derive(Debug)]
+pub(crate) struct OpenSpan {
+    pub(crate) name: &'static str,
+    /// Full `;`-joined path including `name`, fixed at open.
+    pub(crate) path: String,
+    /// 1-based depth on the stack that opened the span.
+    depth: usize,
+    start: u64,
+    /// The owning thread's allocation counters at open; the close delta
+    /// is the span's attributed allocation activity.
+    mark: mem::ThreadMark,
+}
+
+impl OpenSpan {
+    pub(crate) fn open(stack: &mut SpanStack, name: &'static str, clock: &dyn Clock) -> Self {
+        let depth = stack.open(name);
+        OpenSpan {
+            name,
+            path: stack.joined(),
+            depth,
+            // Marked after the path is built, so the span's own
+            // bookkeeping never charges it — keeping same-seed runs
+            // byte-identical.
+            mark: mem::thread_mark(),
+            start: clock.now_micros(),
+        }
+    }
+
+    /// Closes the span on the stack that opened it; returns its duration
+    /// in microseconds and the thread's allocation activity while open.
+    pub(crate) fn close(&self, stack: &mut SpanStack, clock: &dyn Clock) -> (u64, mem::ThreadMark) {
+        // Delta first: recording the result allocates, and those
+        // allocations belong to the *enclosing* span, not this one.
+        let alloc = self.mark.delta();
+        let micros = clock.now_micros().saturating_sub(self.start);
+        stack.close(self.depth);
+        (micros, alloc)
+    }
+}
+
 thread_local! {
-    /// The stack of currently-open span names on this thread. Shared by
-    /// all recorders (in practice one enabled recorder exists per run);
-    /// disabled recorders never touch it.
-    static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+    /// The spans open on this thread. Shared by all recorders (in
+    /// practice one enabled recorder exists per run); disabled recorders
+    /// never touch it.
+    static SPAN_STACK: RefCell<SpanStack> = const { RefCell::new(SpanStack::new()) };
+}
+
+/// The entry of `map` under `name`, allocating the key only on first
+/// sight: every later event of a name finds it by `&str`.
+fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, name: &str) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), V::default());
+    }
+    map.get_mut(name).expect("present or just inserted")
 }
 
 /// The telemetry recorder: aggregates metrics in memory and streams every
@@ -127,9 +233,10 @@ pub struct Recorder {
     sink: Arc<dyn Sink>,
     counters: Mutex<BTreeMap<String, u64>>,
     gauges: Mutex<BTreeMap<String, f64>>,
-    spans: Mutex<BTreeMap<String, SpanStat>>,
     paths: Mutex<BTreeMap<String, PathStat>>,
-    histograms: Mutex<BTreeMap<String, Histogram>>,
+    /// Per name: the sketch of observed values and, for the mean, their
+    /// exact (saturating) sum.
+    histograms: Mutex<BTreeMap<String, (QuantileSketch, u64)>>,
     traces: Mutex<trace::TraceRing>,
     /// Events that reached the sink — the recorder metering itself, so
     /// fleet mode can *prove* events-per-round is O(1) in client count.
@@ -144,7 +251,6 @@ impl Recorder {
             sink,
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(BTreeMap::new()),
             paths: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
             traces: Mutex::new(trace::TraceRing::default()),
@@ -210,7 +316,7 @@ impl Recorder {
         }
         let total = {
             let mut counters = self.counters.lock().expect("counters poisoned");
-            let entry = counters.entry(name.to_string()).or_insert(0);
+            let entry = slot(&mut counters, name);
             *entry += delta;
             *entry
         };
@@ -226,24 +332,21 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        self.gauges
-            .lock()
-            .expect("gauges poisoned")
-            .insert(name.to_string(), value);
+        *slot(&mut self.gauges.lock().expect("gauges poisoned"), name) = value;
         self.emit(EventKind::Gauge, name, &[("value", value.into())]);
     }
 
-    /// Records one observation into the named log2-bucket histogram.
+    /// Records one observation into the named value distribution.
     pub fn observe(&self, name: &str, value: u64) {
         if !self.enabled {
             return;
         }
-        self.histograms
-            .lock()
-            .expect("histograms poisoned")
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        {
+            let mut histograms = self.histograms.lock().expect("histograms poisoned");
+            let (sketch, sum) = slot(&mut histograms, name);
+            sketch.observe(value as f64);
+            *sum = sum.saturating_add(value);
+        }
         self.emit(EventKind::Hist, name, &[("value", value.into())]);
     }
 
@@ -265,86 +368,31 @@ impl Recorder {
     /// drop in LIFO order (the natural RAII pattern); a guard dropped
     /// early also closes any children still open on its own bookkeeping.
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        if !self.enabled {
-            return SpanGuard {
-                recorder: None,
-                name,
-                path: String::new(),
-                depth: 0,
-                start: 0,
-                mark: mem::ThreadMark::default(),
-            };
-        }
-        let (path, depth) = SPAN_STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let mut path = String::with_capacity(
-                stack.iter().map(|s| s.len() + 1).sum::<usize>() + name.len(),
-            );
-            for seg in stack.iter() {
-                path.push_str(seg);
-                path.push(PATH_SEPARATOR);
-            }
-            path.push_str(name);
-            stack.push(name);
-            (path, stack.len())
-        });
-        SpanGuard {
-            recorder: Some(self),
-            name,
-            path,
-            depth,
-            // The mark is taken after the path string is built, so the
-            // guard's own bookkeeping allocation never charges the span
-            // — keeping same-seed runs byte-identical.
-            mark: mem::thread_mark(),
-            start: self.clock.now_micros(),
-        }
-    }
-
-    fn close_span(&self, name: &str, path: &str, start: u64, mark: mem::ThreadMark) {
-        // Delta first: the map insertions and event emission below
-        // allocate, and those allocations belong to the *enclosing*
-        // span, not this one.
-        let alloc = mark.delta();
-        let end = self.clock.now_micros();
-        self.record_span(
-            name,
-            path,
-            end.saturating_sub(start),
-            alloc.allocs,
-            alloc.alloc_bytes,
-        );
+        SpanGuard(self.enabled.then(|| {
+            let clock = &*self.clock;
+            let open = SPAN_STACK.with(|s| OpenSpan::open(&mut s.borrow_mut(), name, clock));
+            (self, open)
+        }))
     }
 
     /// Records one completed span with externally measured duration and
-    /// allocation activity: updates the flat and per-path aggregates and
-    /// emits the same span event [`Recorder::span`] guards produce. This
-    /// is how buffered worker spans enter the recorder at the round
-    /// barrier.
-    fn record_span(&self, name: &str, path: &str, micros: u64, allocs: u64, alloc_bytes: u64) {
-        {
-            let mut spans = self.spans.lock().expect("spans poisoned");
-            let stat = spans.entry(name.to_string()).or_default();
-            stat.count += 1;
-            stat.total_micros += micros;
-        }
-        {
-            let mut paths = self.paths.lock().expect("paths poisoned");
-            let stat = paths.entry(path.to_string()).or_default();
-            stat.count += 1;
-            stat.total_micros += micros;
-            stat.durations.observe(micros);
-            stat.allocs += allocs;
-            stat.alloc_bytes += alloc_bytes;
-        }
+    /// allocation activity: updates the per-path aggregate and emits the
+    /// span event. Guard drops and buffered worker spans replayed at the
+    /// round barrier both end here.
+    fn record_span(&self, name: &str, path: &str, micros: u64, alloc: mem::ThreadMark) {
+        slot(&mut self.paths.lock().expect("paths poisoned"), path).record(
+            micros,
+            alloc.allocs,
+            alloc.alloc_bytes,
+        );
         self.emit(
             EventKind::Span,
             name,
             &[
                 ("micros", micros.into()),
                 ("path", path.into()),
-                ("allocs", allocs.into()),
-                ("alloc_bytes", alloc_bytes.into()),
+                ("allocs", alloc.allocs.into()),
+                ("alloc_bytes", alloc.alloc_bytes.into()),
             ],
         );
     }
@@ -365,17 +413,7 @@ impl Recorder {
         if !self.enabled {
             return String::new();
         }
-        SPAN_STACK.with(|stack| {
-            let stack = stack.borrow();
-            let mut path = String::new();
-            for (i, seg) in stack.iter().enumerate() {
-                if i > 0 {
-                    path.push(PATH_SEPARATOR);
-                }
-                path.push_str(seg);
-            }
-            path
-        })
+        SPAN_STACK.with(|stack| stack.borrow().joined())
     }
 
     /// Replays a task buffer into this recorder: spans are recorded
@@ -388,26 +426,15 @@ impl Recorder {
         if !self.enabled || !buf.enabled() {
             return;
         }
-        let prefix = self.current_path();
+        let mut prefix = self.current_path();
+        if !prefix.is_empty() {
+            prefix.push(PATH_SEPARATOR);
+        }
         for entry in buf.drain() {
             match entry {
-                TaskEntry::Span {
-                    name,
-                    rel_path,
-                    micros,
-                    allocs,
-                    alloc_bytes,
-                } => {
-                    let path = if prefix.is_empty() {
-                        rel_path
-                    } else {
-                        let mut p = String::with_capacity(prefix.len() + 1 + rel_path.len());
-                        p.push_str(&prefix);
-                        p.push(PATH_SEPARATOR);
-                        p.push_str(&rel_path);
-                        p
-                    };
-                    self.record_span(name, &path, micros, allocs, alloc_bytes);
+                TaskEntry::Span(span, micros, alloc) => {
+                    let path = [prefix.as_str(), &span.path].concat();
+                    self.record_span(span.name, &path, micros, alloc);
                 }
                 TaskEntry::Counter { name, delta } => self.incr(name, delta),
             }
@@ -424,19 +451,11 @@ impl Recorder {
         if !self.enabled {
             return;
         }
-        let fields: [(&str, FieldValue); 10] = [
-            ("arrived", u64::from(t.arrived).into()),
-            ("client", t.client.into()),
-            ("end_micros", t.timing.end_micros.into()),
-            ("engine", (&*t.engine).into()),
-            ("enqueue_micros", t.timing.enqueue_micros.into()),
-            ("round", t.round.into()),
-            ("sim_compute_micros", t.sim_compute_micros.into()),
-            ("sim_uplink_micros", t.sim_uplink_micros.into()),
-            ("start_micros", t.timing.start_micros.into()),
-            ("worker", t.timing.worker.into()),
-        ];
-        self.emit(EventKind::Event, registry::EVENT_TRACE_TASK, &fields);
+        self.emit(
+            EventKind::Event,
+            registry::EVENT_TRACE_TASK,
+            &t.event_fields(),
+        );
         let evicted = self.traces.lock().expect("traces poisoned").push(t);
         if evicted {
             self.incr("trace.dropped", 1);
@@ -496,17 +515,20 @@ impl Recorder {
 
     /// Aggregate of a span name (zero if never closed).
     pub fn span_stat(&self, name: &str) -> SpanStat {
-        self.spans
-            .lock()
-            .expect("spans poisoned")
-            .get(name)
-            .copied()
-            .unwrap_or_default()
+        self.span_stats().remove(name).unwrap_or_default()
     }
 
-    /// All flat per-name span aggregates.
+    /// All flat per-name span aggregates: the path aggregates summed by
+    /// their last segment.
     pub fn span_stats(&self) -> BTreeMap<String, SpanStat> {
-        self.spans.lock().expect("spans poisoned").clone()
+        let mut flat: BTreeMap<String, SpanStat> = BTreeMap::new();
+        for (path, stat) in self.paths.lock().expect("paths poisoned").iter() {
+            let name = path.rsplit(PATH_SEPARATOR).next().unwrap_or(path);
+            let flat = slot(&mut flat, name);
+            flat.count += stat.count;
+            flat.total_micros += stat.total_micros;
+        }
+        flat
     }
 
     /// All per-path span aggregates (`;`-joined paths, innermost last) —
@@ -524,83 +546,69 @@ impl Recorder {
     /// gauges and histograms. Empty sections are omitted; a recorder with
     /// no data renders an explanatory one-liner.
     pub fn summary(&self) -> String {
-        let spans = self.spans.lock().expect("spans poisoned").clone();
+        let spans = self.span_stats();
         let counters = self.counters.lock().expect("counters poisoned").clone();
         let gauges = self.gauges.lock().expect("gauges poisoned").clone();
         let histograms = self.histograms.lock().expect("histograms poisoned").clone();
 
-        let name_width = spans
+        let w = spans
             .keys()
             .chain(counters.keys())
             .chain(gauges.keys())
             .chain(histograms.keys())
             .map(|n| n.len())
             .max()
-            .unwrap_or(4)
+            .unwrap_or(0)
             .max("name".len());
 
-        let mut out = String::new();
+        let mut sections: Vec<String> = Vec::new();
         if !spans.is_empty() {
-            out.push_str(&format!(
-                "{:<name_width$}  {:>8}  {:>12}  {:>12}\n",
+            let mut t = format!(
+                "{:<w$}  {:>8}  {:>12}  {:>12}\n",
                 "span", "count", "total", "mean"
-            ));
+            );
             for (name, stat) in &spans {
-                let mean = if stat.count == 0 {
-                    0.0
-                } else {
-                    stat.total_micros as f64 / stat.count as f64
-                };
-                out.push_str(&format!(
-                    "{:<name_width$}  {:>8}  {:>12}  {:>12}\n",
-                    name,
-                    stat.count,
-                    fmt_micros(stat.total_micros as f64),
-                    fmt_micros(mean)
-                ));
+                let total = stat.total_micros as f64;
+                let mean = fmt_micros(total / stat.count.max(1) as f64);
+                let total = fmt_micros(total);
+                let _ = writeln!(t, "{name:<w$}  {:>8}  {total:>12}  {mean:>12}", stat.count);
             }
+            sections.push(t);
         }
         if !counters.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&format!("{:<name_width$}  {:>16}\n", "counter", "value"));
+            let mut t = format!("{:<w$}  {:>16}\n", "counter", "value");
             for (name, value) in &counters {
-                out.push_str(&format!("{name:<name_width$}  {value:>16}\n"));
+                let _ = writeln!(t, "{name:<w$}  {value:>16}");
             }
+            sections.push(t);
         }
         if !gauges.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&format!("{:<name_width$}  {:>16}\n", "gauge", "value"));
+            let mut t = format!("{:<w$}  {:>16}\n", "gauge", "value");
             for (name, value) in &gauges {
-                out.push_str(&format!("{name:<name_width$}  {value:>16.4}\n"));
+                let _ = writeln!(t, "{name:<w$}  {value:>16.4}");
             }
+            sections.push(t);
         }
         if !histograms.is_empty() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&format!(
-                "{:<name_width$}  {:>8}  {:>12}  {:>12}  {:>12}\n",
+            let mut t = format!(
+                "{:<w$}  {:>8}  {:>12}  {:>12}  {:>12}\n",
                 "histogram", "count", "mean", "p50", "p99"
-            ));
-            for (name, h) in &histograms {
-                out.push_str(&format!(
-                    "{:<name_width$}  {:>8}  {:>12.1}  {:>12.1}  {:>12.1}\n",
-                    name,
-                    h.count(),
-                    h.mean(),
-                    h.percentile(0.5),
-                    h.percentile(0.99)
-                ));
+            );
+            for (name, (sketch, sum)) in &histograms {
+                let (count, p50, p99) =
+                    (sketch.count(), sketch.quantile(0.5), sketch.quantile(0.99));
+                let mean = *sum as f64 / count.max(1) as f64;
+                let _ = writeln!(
+                    t,
+                    "{name:<w$}  {count:>8}  {mean:>12.1}  {p50:>12.1}  {p99:>12.1}"
+                );
             }
+            sections.push(t);
         }
-        if out.is_empty() {
-            out.push_str("telemetry: no data recorded\n");
+        if sections.is_empty() {
+            return "telemetry: no data recorded\n".into();
         }
-        out
+        sections.join("\n")
     }
 }
 
@@ -616,33 +624,16 @@ pub(crate) fn fmt_micros(micros: f64) -> String {
 }
 
 /// RAII guard for a timed span: records the elapsed time on drop.
+/// Empty when the recorder is disabled.
 #[derive(Debug)]
-pub struct SpanGuard<'a> {
-    recorder: Option<&'a Recorder>,
-    name: &'static str,
-    /// Full `;`-joined path including `name`, computed at open.
-    path: String,
-    /// Stack depth just after pushing `name` (1-based).
-    depth: usize,
-    start: u64,
-    /// This thread's allocation counters at open; the close delta is the
-    /// span's attributed allocation activity.
-    mark: mem::ThreadMark,
-}
+pub struct SpanGuard<'a>(Option<(&'a Recorder, OpenSpan)>);
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some(rec) = self.recorder {
-            // Truncate rather than pop: if children were leaked or
-            // dropped out of order, closing the parent still restores a
-            // consistent stack.
-            SPAN_STACK.with(|stack| {
-                let mut stack = stack.borrow_mut();
-                if stack.len() >= self.depth {
-                    stack.truncate(self.depth - 1);
-                }
-            });
-            rec.close_span(self.name, &self.path, self.start, self.mark);
+        if let Some((rec, span)) = self.0.take() {
+            let clock = &*rec.clock;
+            let (micros, alloc) = SPAN_STACK.with(|s| span.close(&mut s.borrow_mut(), clock));
+            rec.record_span(span.name, &span.path, micros, alloc);
         }
     }
 }
@@ -689,6 +680,7 @@ mod tests {
                         tel.observe("hist", i);
                         {
                             let _g = tel.span("work");
+                            let _nested = tel.span("task.step");
                         }
                         buf.incr("buffered", 1);
                         let s = buf.begin("task.step");
@@ -702,7 +694,22 @@ mod tests {
         assert_eq!(tel.counter_value("direct"), total);
         assert_eq!(tel.counter_value("buffered"), total);
         assert_eq!(tel.span_stat("work").count, total);
-        assert_eq!(tel.span_stat("task.step").count, total);
+        // Flat per-name stats are the path aggregates summed by last
+        // segment: `task.step` closed under `work` and, buffered, alone.
+        let paths = tel.path_stats();
+        assert_eq!(paths["work;task.step"].count, total);
+        assert_eq!(paths["task.step"].count, total);
+        for name in ["work", "task.step"] {
+            let of_name = || {
+                paths
+                    .iter()
+                    .filter(|(p, _)| p.rsplit(';').next() == Some(name))
+            };
+            let flat = tel.span_stat(name);
+            assert_eq!(flat.count, of_name().map(|(_, s)| s.count).sum::<u64>());
+            let micros = of_name().map(|(_, s)| s.total_micros).sum::<u64>();
+            assert_eq!(flat.total_micros, micros);
+        }
         // Every observation also reached the sink as a whole event.
         let events = sink.events();
         assert!(events.len() as u64 >= 3 * total);
@@ -841,6 +848,93 @@ mod tests {
         assert!(paths.contains_key("outer;inner"));
     }
 
+    /// One `SpanStack` under both: the same nesting — a parent closed
+    /// before its child included — yields the same paths and counts
+    /// whether it ran through guards or through an absorbed buffer.
+    #[test]
+    fn guards_and_task_buffers_nest_identically() {
+        let counts = |tel: &Recorder| -> Vec<(String, u64)> {
+            let paths = tel.path_stats();
+            paths.into_iter().map(|(p, s)| (p, s.count)).collect()
+        };
+        let guards = Recorder::in_memory();
+        {
+            let _root = guards.span("root");
+            {
+                let _a = guards.span("a");
+                drop(guards.span("b"));
+                drop(guards.span("b"));
+            }
+            let a = guards.span("a");
+            let c = guards.span("c");
+            drop(a);
+            drop(c);
+            drop(guards.span("d"));
+        }
+        let buffered = Recorder::in_memory();
+        {
+            let _root = buffered.span("root");
+            let mut buf = buffered.task_buffer();
+            let a = buf.begin("a");
+            for _ in 0..2 {
+                let b = buf.begin("b");
+                buf.end(b);
+            }
+            buf.end(a);
+            let a = buf.begin("a");
+            let c = buf.begin("c");
+            buf.end(a);
+            buf.end(c);
+            let d = buf.begin("d");
+            buf.end(d);
+            buffered.absorb_task(buf);
+        }
+        assert_eq!(counts(&guards), counts(&buffered));
+        let expected = [
+            ("root", 1),
+            ("root;a", 2),
+            ("root;a;b", 2),
+            ("root;a;c", 1),
+            ("root;d", 1),
+        ];
+        assert_eq!(
+            counts(&guards),
+            expected.map(|(path, count)| (path.to_string(), count))
+        );
+    }
+
+    #[test]
+    fn span_duration_quantiles_stay_within_the_sketch_bound() {
+        let mut one = PathStat::default();
+        one.record(777, 0, 0);
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(one.durations.quantile(q), 777.0, "exact at count 1");
+        }
+        // 1 µs … 2^40 µs, three durations per octave.
+        let mut sorted: Vec<u64> = (0..40)
+            .flat_map(|k| [1u64 << k, (1 << k) + (1 << k) / 3, (1 << k) + (1 << k) / 2])
+            .chain([1 << 40])
+            .collect();
+        sorted.sort_unstable();
+        let mut stat = PathStat::default();
+        for &micros in sorted.iter().rev() {
+            stat.record(micros, 0, 0);
+        }
+        for q in [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
+            let truth = sorted[(q * (sorted.len() - 1) as f64).round() as usize] as f64;
+            let est = stat.durations.quantile(q);
+            assert!(
+                (est - truth).abs() <= truth * QuantileSketch::MAX_RELATIVE_ERROR,
+                "q={q}: {est} vs {truth}"
+            );
+        }
+        assert_eq!(stat.durations.quantile(0.0), 1.0);
+        assert_eq!(stat.durations.quantile(1.0), (1u64 << 40) as f64);
+        // The mean needs no sketch: count and sum are exact integers.
+        assert_eq!(stat.count, sorted.len() as u64);
+        assert_eq!(stat.total_micros, sorted.iter().sum::<u64>());
+    }
+
     #[test]
     fn disabled_recorder_skips_path_tracking() {
         let tel = Recorder::disabled();
@@ -864,7 +958,12 @@ mod tests {
             let sink = Arc::new(MemorySink::new());
             let tel = Recorder::with_sink_and_clock(sink.clone(), Arc::new(ManualClock::new(1)));
             {
+                // Nested, so a span stack that kept state (capacity)
+                // from the first run would charge `round` differently
+                // in the second.
                 let _s = tel.span("round");
+                let _t = tel.span("round.transmit");
+                let _q = tel.span("hdc.quantize");
                 tel.incr("bytes", 42);
             }
             tel.gauge("acc", 0.9);

@@ -10,7 +10,7 @@
 //! - call count, total (inclusive) time, self time (total minus
 //!   children),
 //! - p50/p99 of individual span durations (via
-//!   [`crate::histogram::Histogram::percentile`]),
+//!   [`crate::sketch::QuantileSketch::quantile`]),
 //!
 //! and renders either an aligned text report ([`Profile::render`]) or a
 //! collapsed-stack export ([`Profile::collapsed`]) that `flamegraph.pl` /
@@ -29,9 +29,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::histogram::Histogram;
-use crate::jsonl;
+use std::fmt::Write as _;
+
+use crate::jsonl::{self, Value};
 use crate::mem::fmt_bytes;
+use crate::sketch::QuantileSketch;
 use crate::{fmt_micros, PathStat, Recorder, SpanStat, PATH_SEPARATOR};
 
 /// One node of the span call tree.
@@ -44,7 +46,7 @@ pub struct ProfileNode {
     /// Total (inclusive) time across completions, microseconds.
     pub total_micros: u64,
     /// Distribution of individual span durations, microseconds.
-    pub durations: Histogram,
+    pub durations: QuantileSketch,
     /// Total (inclusive) allocations attributed to this path.
     pub allocs: u64,
     /// Total (inclusive) bytes allocated on this path (gross).
@@ -54,12 +56,16 @@ pub struct ProfileNode {
 }
 
 impl ProfileNode {
+    /// `total(self)` minus the children's totals, saturating.
+    fn own(&self, total: fn(&ProfileNode) -> u64) -> u64 {
+        total(self).saturating_sub(self.children.values().map(total).sum())
+    }
+
     /// Self time: total minus the children's totals (saturating — a
     /// child measured on a different clock granularity can nominally
     /// exceed its parent by a rounding quantum).
     pub fn self_micros(&self) -> u64 {
-        let children: u64 = self.children.values().map(|c| c.total_micros).sum();
-        self.total_micros.saturating_sub(children)
+        self.own(|n| n.total_micros)
     }
 
     /// Self allocations: total minus the children's totals (saturating —
@@ -67,25 +73,23 @@ impl ProfileNode {
     /// counters while the parent measures the barrier thread's, so the
     /// nesting is advisory, not arithmetic).
     pub fn self_allocs(&self) -> u64 {
-        let children: u64 = self.children.values().map(|c| c.allocs).sum();
-        self.allocs.saturating_sub(children)
+        self.own(|n| n.allocs)
     }
 
     /// Self allocated bytes: total minus the children's totals
     /// (saturating, same caveat as [`ProfileNode::self_allocs`]).
     pub fn self_alloc_bytes(&self) -> u64 {
-        let children: u64 = self.children.values().map(|c| c.alloc_bytes).sum();
-        self.alloc_bytes.saturating_sub(children)
+        self.own(|n| n.alloc_bytes)
     }
 
     /// p50 of individual span durations at this path, microseconds.
     pub fn p50_micros(&self) -> f64 {
-        self.durations.percentile(0.5)
+        self.durations.quantile(0.5)
     }
 
     /// p99 of individual span durations at this path, microseconds.
     pub fn p99_micros(&self) -> f64 {
-        self.durations.percentile(0.99)
+        self.durations.quantile(0.99)
     }
 }
 
@@ -144,53 +148,16 @@ impl Profile {
     /// wrong file rather than a legitimately empty profile.
     pub fn from_jsonl_str(stream: &str) -> Result<Profile, String> {
         let mut stats: BTreeMap<String, PathStat> = BTreeMap::new();
-        let mut spans = 0usize;
-        for line in stream.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
+        jsonl::read_records(stream, |kind, name, fields| {
+            if kind != "span" {
+                return;
             }
-            let Ok(v) = jsonl::parse(line) else {
-                continue;
-            };
-            if v.get("kind").and_then(jsonl::Value::as_str) != Some("span") {
-                continue;
-            }
-            let Some(name) = v.get("name").and_then(jsonl::Value::as_str) else {
-                continue;
-            };
-            let Some(fields) = v.get("fields") else {
-                continue;
-            };
-            let micros = fields
-                .get("micros")
-                .and_then(jsonl::Value::as_f64)
-                .unwrap_or(0.0)
-                .max(0.0) as u64;
-            let path = fields
-                .get("path")
-                .and_then(jsonl::Value::as_str)
-                .unwrap_or(name);
             // Allocation fields absent on pre-mem recordings default 0.
-            let allocs = fields
-                .get("allocs")
-                .and_then(jsonl::Value::as_f64)
-                .unwrap_or(0.0)
-                .max(0.0) as u64;
-            let alloc_bytes = fields
-                .get("alloc_bytes")
-                .and_then(jsonl::Value::as_f64)
-                .unwrap_or(0.0)
-                .max(0.0) as u64;
-            let stat = stats.entry(path.to_string()).or_default();
-            stat.count += 1;
-            stat.total_micros += micros;
-            stat.durations.observe(micros);
-            stat.allocs += allocs;
-            stat.alloc_bytes += alloc_bytes;
-            spans += 1;
-        }
-        if spans == 0 {
+            let int = |key| fields.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64;
+            let path = fields.get("path").and_then(Value::as_str).unwrap_or(name);
+            crate::slot(&mut stats, path).record(int("micros"), int("allocs"), int("alloc_bytes"));
+        });
+        if stats.is_empty() {
             return Err(
                 "no span events found in stream (is this a --telemetry JSONL file?)".into(),
             );
@@ -239,56 +206,80 @@ impl Profile {
         self.roots.values().map(|n| n.total_micros).sum()
     }
 
-    /// Renders the aligned span-tree report: one row per path, children
-    /// indented under parents and sorted by total time (descending), with
-    /// count, total, self, p50 and p99 columns.
-    pub fn render(&self) -> String {
+    /// The one tree renderer behind both reports: one row per path,
+    /// children indented under parents, siblings ordered by `sort_key`
+    /// (descending, then by name), a `count` column and four more whose
+    /// `(heading, width)` and per-node text the caller supplies.
+    fn render_tree(
+        &self,
+        title: &str,
+        sort_key: fn(&ProfileNode) -> u64,
+        columns: [(&str, usize); 4],
+        cells: fn(&ProfileNode) -> [String; 4],
+    ) -> String {
         if self.is_empty() {
             return "profile: no spans recorded\n".into();
         }
         // First pass: collect rows to size the name column.
-        let mut rows: Vec<(usize, &ProfileNode)> = Vec::new();
         fn walk<'a>(
             nodes: &'a BTreeMap<String, ProfileNode>,
             depth: usize,
+            sort_key: fn(&ProfileNode) -> u64,
             out: &mut Vec<(usize, &'a ProfileNode)>,
         ) {
             let mut ordered: Vec<&ProfileNode> = nodes.values().collect();
             ordered.sort_by(|a, b| {
-                b.total_micros
-                    .cmp(&a.total_micros)
+                sort_key(b)
+                    .cmp(&sort_key(a))
                     .then_with(|| a.name.cmp(&b.name))
             });
             for n in ordered {
                 out.push((depth, n));
-                walk(&n.children, depth + 1, out);
+                walk(&n.children, depth + 1, sort_key, out);
             }
         }
-        walk(&self.roots, 0, &mut rows);
+        let mut rows = Vec::new();
+        walk(&self.roots, 0, sort_key, &mut rows);
         let name_width = rows
             .iter()
             .map(|(d, n)| 2 * d + n.name.len())
             .max()
-            .unwrap_or(4)
-            .max("span tree".len());
+            .unwrap_or(0)
+            .max(title.len());
 
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<name_width$}  {:>8}  {:>10}  {:>10}  {:>10}  {:>10}\n",
-            "span tree", "count", "total", "self", "p50", "p99"
-        ));
+        let mut out = format!("{title:<name_width$}  {:>8}", "count");
+        for (heading, width) in columns {
+            let _ = write!(out, "  {heading:>width$}");
+        }
+        out.push('\n');
         for (depth, node) in rows {
-            out.push_str(&format!(
-                "{:<name_width$}  {:>8}  {:>10}  {:>10}  {:>10}  {:>10}\n",
-                format!("{}{}", "  ".repeat(depth), node.name),
-                node.count,
-                fmt_micros(node.total_micros as f64),
-                fmt_micros(node.self_micros() as f64),
-                fmt_micros(node.p50_micros()),
-                fmt_micros(node.p99_micros()),
-            ));
+            let name = format!("{}{}", "  ".repeat(depth), node.name);
+            let _ = write!(out, "{name:<name_width$}  {:>8}", node.count);
+            for (cell, (_, width)) in cells(node).iter().zip(columns) {
+                let _ = write!(out, "  {cell:>width$}");
+            }
+            out.push('\n');
         }
         out
+    }
+
+    /// Renders the aligned span-tree report: one row per path, children
+    /// indented under parents and sorted by total time (descending), with
+    /// count, total, self, p50 and p99 columns.
+    pub fn render(&self) -> String {
+        self.render_tree(
+            "span tree",
+            |n| n.total_micros,
+            [("total", 10), ("self", 10), ("p50", 10), ("p99", 10)],
+            |n| {
+                [
+                    fmt_micros(n.total_micros as f64),
+                    fmt_micros(n.self_micros() as f64),
+                    fmt_micros(n.p50_micros()),
+                    fmt_micros(n.p99_micros()),
+                ]
+            },
+        )
     }
 
     /// Renders the allocation tree: the same span hierarchy as
@@ -297,51 +288,19 @@ impl Profile {
     /// sorted by total allocated bytes (descending). `fhdnn profile
     /// --mem` prints this next to the time tree.
     pub fn render_mem(&self) -> String {
-        if self.is_empty() {
-            return "profile: no spans recorded\n".into();
-        }
-        let mut rows: Vec<(usize, &ProfileNode)> = Vec::new();
-        fn walk<'a>(
-            nodes: &'a BTreeMap<String, ProfileNode>,
-            depth: usize,
-            out: &mut Vec<(usize, &'a ProfileNode)>,
-        ) {
-            let mut ordered: Vec<&ProfileNode> = nodes.values().collect();
-            ordered.sort_by(|a, b| {
-                b.alloc_bytes
-                    .cmp(&a.alloc_bytes)
-                    .then_with(|| a.name.cmp(&b.name))
-            });
-            for n in ordered {
-                out.push((depth, n));
-                walk(&n.children, depth + 1, out);
-            }
-        }
-        walk(&self.roots, 0, &mut rows);
-        let name_width = rows
-            .iter()
-            .map(|(d, n)| 2 * d + n.name.len())
-            .max()
-            .unwrap_or(4)
-            .max("allocation tree".len());
-
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<name_width$}  {:>8}  {:>10}  {:>10}  {:>11}  {:>11}\n",
-            "allocation tree", "count", "allocs", "self", "bytes", "self"
-        ));
-        for (depth, node) in rows {
-            out.push_str(&format!(
-                "{:<name_width$}  {:>8}  {:>10}  {:>10}  {:>11}  {:>11}\n",
-                format!("{}{}", "  ".repeat(depth), node.name),
-                node.count,
-                node.allocs,
-                node.self_allocs(),
-                fmt_bytes(node.alloc_bytes),
-                fmt_bytes(node.self_alloc_bytes()),
-            ));
-        }
-        out
+        self.render_tree(
+            "allocation tree",
+            |n| n.alloc_bytes,
+            [("allocs", 10), ("self", 10), ("bytes", 11), ("self", 11)],
+            |n| {
+                [
+                    n.allocs.to_string(),
+                    n.self_allocs().to_string(),
+                    fmt_bytes(n.alloc_bytes),
+                    fmt_bytes(n.self_alloc_bytes()),
+                ]
+            },
+        )
     }
 
     /// Collapsed-stack export: one `path;leaf weight` line per node with

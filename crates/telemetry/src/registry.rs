@@ -21,7 +21,7 @@ pub enum MetricKind {
     Counter,
     /// Last-value gauge fed through `Recorder::gauge`.
     Gauge,
-    /// Log2-bucket histogram fed through `Recorder::observe`.
+    /// Value distribution (quantile sketch) fed through `Recorder::observe`.
     Histogram,
     /// Timed span opened via `Recorder::span` or `TaskBuffer::begin`.
     Span,

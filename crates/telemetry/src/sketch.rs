@@ -184,11 +184,7 @@ impl QuantileSketch {
         if self.count == 0 {
             return 0.0;
         }
-        let q = if q.is_finite() {
-            q.clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
+        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
         if q == 0.0 {
             return self.min();
         }
@@ -509,6 +505,19 @@ mod tests {
         }
         assert_eq!(s.quantile(0.0), 1.0, "q=0 is the exact min");
         assert_eq!(s.quantile(1.0), 1000.0, "q=1 is the exact max");
+        // Degenerate q is well-defined: NaN reads as the most
+        // conservative quantile, out-of-range q clamps into [0, 1], and
+        // the empty sketch is 0 whatever is asked of it.
+        for (q, want) in [
+            (f64::NAN, 1.0),
+            (-3.0, 1.0),
+            (f64::NEG_INFINITY, 1.0),
+            (7.5, 1000.0),
+            (f64::INFINITY, 1000.0),
+        ] {
+            assert_eq!(s.quantile(q), want, "q={q}");
+            assert_eq!(QuantileSketch::new().quantile(q), 0.0, "empty, q={q}");
+        }
     }
 
     #[test]

@@ -16,25 +16,16 @@
 use std::sync::Arc;
 
 use crate::clock::Clock;
+use crate::mem::ThreadMark;
+use crate::{OpenSpan, SpanStack};
 
 /// One buffered observation, replayed in order at the round barrier.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) enum TaskEntry {
-    /// A completed span: leaf name, path *relative to the task root*,
-    /// measured duration, and the worker thread's allocation activity
-    /// while the span was open.
-    Span {
-        /// Span leaf name.
-        name: &'static str,
-        /// `;`-joined path relative to the buffer's own root.
-        rel_path: String,
-        /// Measured duration in microseconds.
-        micros: u64,
-        /// Allocations attributed to the span (worker thread-local).
-        allocs: u64,
-        /// Bytes allocated during the span (gross, worker thread-local).
-        alloc_bytes: u64,
-    },
+    /// A completed span — its path is relative to the buffer's own root
+    /// — with its measured duration in microseconds and the worker
+    /// thread's allocation activity while it was open.
+    Span(OpenSpan, u64, ThreadMark),
     /// A buffered counter increment.
     Counter {
         /// Counter name.
@@ -46,18 +37,11 @@ pub(crate) enum TaskEntry {
 
 /// An in-flight span on a [`TaskBuffer`]; close it with
 /// [`TaskBuffer::end`]. Mirrors the recorder's RAII guard but without
-/// borrowing the buffer, so workers can nest spans freely.
+/// borrowing the buffer, so workers can nest spans freely. Empty when
+/// the buffer is disabled.
 #[derive(Debug)]
 #[must_use = "a task span must be closed with TaskBuffer::end"]
-pub struct TaskSpan {
-    name: &'static str,
-    rel_path: String,
-    depth: usize,
-    start: u64,
-    /// The worker thread's allocation counters at open (see
-    /// [`crate::mem::thread_mark`]).
-    mark: crate::mem::ThreadMark,
-}
+pub struct TaskSpan(Option<OpenSpan>);
 
 /// A private span/counter buffer for one unit of parallel work.
 ///
@@ -70,8 +54,8 @@ pub struct TaskSpan {
 pub struct TaskBuffer {
     enabled: bool,
     clock: Arc<dyn Clock>,
-    /// Names of currently-open spans, outermost first.
-    stack: Vec<&'static str>,
+    /// The spans currently open on this buffer.
+    stack: SpanStack,
     entries: Vec<TaskEntry>,
 }
 
@@ -80,7 +64,7 @@ impl TaskBuffer {
         TaskBuffer {
             enabled,
             clock,
-            stack: Vec::new(),
+            stack: SpanStack::new(),
             entries: Vec::new(),
         }
     }
@@ -94,54 +78,22 @@ impl TaskBuffer {
     /// Opens a span named `name` nested under any spans already open on
     /// this buffer.
     pub fn begin(&mut self, name: &'static str) -> TaskSpan {
-        if !self.enabled {
-            return TaskSpan {
-                name,
-                rel_path: String::new(),
-                depth: 0,
-                start: 0,
-                mark: crate::mem::ThreadMark::default(),
-            };
-        }
-        let mut rel_path = String::new();
-        for seg in &self.stack {
-            rel_path.push_str(seg);
-            rel_path.push(crate::PATH_SEPARATOR);
-        }
-        rel_path.push_str(name);
-        self.stack.push(name);
-        TaskSpan {
-            name,
-            rel_path,
-            depth: self.stack.len(),
-            // Marked after the path build so the buffer's own
-            // bookkeeping never charges the span.
-            mark: crate::mem::thread_mark(),
-            start: self.clock.now_micros(),
-        }
+        TaskSpan(
+            self.enabled
+                .then(|| OpenSpan::open(&mut self.stack, name, &*self.clock)),
+        )
     }
 
     /// Closes a span opened with [`TaskBuffer::begin`], recording its
-    /// duration. Closing a parent before its children truncates the
-    /// nesting stack, matching the recorder's self-healing behaviour.
+    /// duration. Closing a parent before its children heals the nesting
+    /// exactly as the recorder's guards do (one `SpanStack` under both).
     pub fn end(&mut self, span: TaskSpan) {
-        if !self.enabled {
-            return;
+        if let Some(span) = span.0 {
+            // Measured before the entry push below: the buffer's own
+            // growth belongs to the enclosing span, not this one.
+            let (micros, alloc) = span.close(&mut self.stack, &*self.clock);
+            self.entries.push(TaskEntry::Span(span, micros, alloc));
         }
-        // Delta before the entry push below: the buffer's own growth
-        // belongs to the enclosing span, not this one.
-        let alloc = span.mark.delta();
-        let micros = self.clock.now_micros().saturating_sub(span.start);
-        if self.stack.len() >= span.depth {
-            self.stack.truncate(span.depth - 1);
-        }
-        self.entries.push(TaskEntry::Span {
-            name: span.name,
-            rel_path: span.rel_path,
-            micros,
-            allocs: alloc.allocs,
-            alloc_bytes: alloc.alloc_bytes,
-        });
     }
 
     /// Buffers a counter increment, applied at the barrier in replay

@@ -29,9 +29,12 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 
-use crate::event::write_json_string;
+use crate::event::{write_json_string, FieldValue};
 use crate::jsonl::Value;
+use crate::registry::EVENT_TRACE_ROUND;
+use crate::Recorder;
 
 /// Default bound on the recorder's trace ring: at 4 tasks a round this
 /// is thousands of rounds of history, yet only a few MiB resident.
@@ -117,13 +120,30 @@ impl TaskTrace {
             }
     }
 
+    /// The field list of the `trace.task` event
+    /// [`Recorder::record_task_trace`] emits for this trace.
+    pub(crate) fn event_fields(&self) -> [(&'static str, FieldValue); 10] {
+        [
+            ("arrived", u64::from(self.arrived).into()),
+            ("client", self.client.into()),
+            ("end_micros", self.timing.end_micros.into()),
+            ("engine", (&*self.engine).into()),
+            ("enqueue_micros", self.timing.enqueue_micros.into()),
+            ("round", self.round.into()),
+            ("sim_compute_micros", self.sim_compute_micros.into()),
+            ("sim_uplink_micros", self.sim_uplink_micros.into()),
+            ("start_micros", self.timing.start_micros.into()),
+            ("worker", self.timing.worker.into()),
+        ]
+    }
+
     /// Reconstructs a trace from the `fields` object of a recorded
-    /// `trace.task` event (see `Recorder::record_task_trace`). Returns
-    /// `None` when required fields are missing or mistyped, so foreign
-    /// events are skipped rather than misread.
+    /// `trace.task` event. Returns `None` when required fields are
+    /// missing or mistyped, so foreign events are skipped rather than
+    /// misread.
     #[must_use]
     pub fn from_event_fields(fields: &Value) -> Option<TaskTrace> {
-        let get_u64 = |key: &str| -> Option<u64> { Some(fields.get(key)?.as_f64()? as u64) };
+        let get_u64 = |key| u64_field(fields, key);
         Some(TaskTrace {
             round: get_u64("round")?,
             client: get_u64("client")?,
@@ -139,6 +159,11 @@ impl TaskTrace {
             sim_uplink_micros: get_u64("sim_uplink_micros")?,
         })
     }
+}
+
+/// The unsigned integer under `key` of a recorded event's `fields`.
+fn u64_field(fields: &Value, key: &str) -> Option<u64> {
+    Some(fields.get(key)?.as_f64()? as u64)
 }
 
 /// A bounded FIFO of task traces. When full, pushing evicts the oldest
@@ -241,6 +266,44 @@ pub struct RoundTraceSummary {
     pub sim_round_micros: u64,
 }
 
+impl RoundTraceSummary {
+    /// Emits the summary as the round's `trace.round` event.
+    pub fn emit(&self, tel: &Recorder) {
+        tel.event(
+            EVENT_TRACE_ROUND,
+            &[
+                ("critical_client", self.critical_client.into()),
+                ("engine", (&*self.engine).into()),
+                ("queue_depth_max", self.queue_depth_max.into()),
+                ("round", self.round.into()),
+                ("sim_critical_micros", self.sim_critical_micros.into()),
+                ("sim_round_micros", self.sim_round_micros.into()),
+                ("tasks", self.tasks.into()),
+                ("worker_utilization", self.worker_utilization.into()),
+                ("workers", self.workers.into()),
+            ],
+        );
+    }
+
+    /// Reconstructs a summary from the `fields` object of a recorded
+    /// `trace.round` event; `None` when a field is missing or mistyped.
+    #[must_use]
+    pub fn from_event_fields(fields: &Value) -> Option<RoundTraceSummary> {
+        let get_u64 = |key| u64_field(fields, key);
+        Some(RoundTraceSummary {
+            round: get_u64("round")?,
+            engine: fields.get("engine")?.as_str()?.to_string().into(),
+            tasks: get_u64("tasks")?,
+            workers: get_u64("workers")?,
+            worker_utilization: fields.get("worker_utilization")?.as_f64()?,
+            queue_depth_max: get_u64("queue_depth_max")?,
+            critical_client: get_u64("critical_client")?,
+            sim_critical_micros: get_u64("sim_critical_micros")?,
+            sim_round_micros: get_u64("sim_round_micros")?,
+        })
+    }
+}
+
 /// Analyzes the traces of one round. The simulated half (critical path,
 /// round time) is deterministic at any thread count and with telemetry
 /// disabled; the measured half (workers, utilization, queue depth) is
@@ -277,9 +340,7 @@ pub fn summarize_round(rows: &[TaskTrace]) -> RoundTraceSummary {
     // Measured pool health, zero when nothing was measured.
     let measured = rows.iter().any(|r| r.timing.end_micros > 0);
     let (workers, worker_utilization, queue_depth_max) = if measured {
-        let mut workers: Vec<u64> = rows.iter().map(|r| r.timing.worker).collect();
-        workers.sort_unstable();
-        workers.dedup();
+        let workers = distinct(rows, |r| r.timing.worker);
         let span_start = rows
             .iter()
             .map(|r| r.timing.enqueue_micros)
@@ -324,28 +385,29 @@ pub fn summarize_round(rows: &[TaskTrace]) -> RoundTraceSummary {
     }
 }
 
+/// The distinct values of `id` over `rows`, ascending.
+fn distinct(rows: &[TaskTrace], id: fn(&TaskTrace) -> u64) -> Vec<u64> {
+    let mut ids: Vec<u64> = rows.iter().map(id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// `true` when two traces belong to the same `(engine, round)` group.
+fn same_round(a: &TaskTrace, b: &TaskTrace) -> bool {
+    a.round == b.round && a.engine == b.engine
+}
+
 /// Splits a trace slice into consecutive `(engine, round)` groups and
 /// summarizes each — the shape `fhdnn trace` renders as its per-round
 /// table.
 #[must_use]
 pub fn summarize(rows: &[TaskTrace]) -> Vec<RoundTraceSummary> {
-    let mut out = Vec::new();
-    let mut start = 0usize;
-    for i in 1..=rows.len() {
-        let boundary = i == rows.len()
-            || rows[i].round != rows[start].round
-            || rows[i].engine != rows[start].engine;
-        if boundary {
-            out.push(summarize_round(&rows[start..i]));
-            start = i;
-        }
-    }
-    out
+    rows.chunk_by(same_round).map(summarize_round).collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn push_slice(
-    out: &mut String,
+/// One complete (`"ph":"X"`) slice of the Chrome trace.
+fn slice(
     name: &str,
     cat: &str,
     pid: u64,
@@ -353,41 +415,32 @@ fn push_slice(
     ts: u64,
     dur: u64,
     args: &[(&str, u64)],
-) {
-    out.push_str("{\"ph\":\"X\",\"pid\":");
-    out.push_str(&pid.to_string());
-    out.push_str(",\"tid\":");
-    out.push_str(&tid.to_string());
-    out.push_str(",\"ts\":");
-    out.push_str(&ts.to_string());
-    out.push_str(",\"dur\":");
-    out.push_str(&dur.to_string());
-    out.push_str(",\"name\":");
-    write_json_string(out, name);
+) -> String {
+    let mut out =
+        format!("{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\"name\":");
+    write_json_string(&mut out, name);
     out.push_str(",\"cat\":");
-    write_json_string(out, cat);
+    write_json_string(&mut out, cat);
     out.push_str(",\"args\":{");
     for (i, (k, v)) in args.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        write_json_string(out, k);
-        out.push(':');
-        out.push_str(&v.to_string());
+        write_json_string(&mut out, k);
+        let _ = write!(out, ":{v}");
     }
     out.push_str("}}");
+    out
 }
 
-fn push_metadata(out: &mut String, meta_name: &str, pid: u64, tid: u64, value: &str) {
-    out.push_str("{\"ph\":\"M\",\"pid\":");
-    out.push_str(&pid.to_string());
-    out.push_str(",\"tid\":");
-    out.push_str(&tid.to_string());
-    out.push_str(",\"name\":");
-    write_json_string(out, meta_name);
+/// One metadata (`"ph":"M"`) record naming a process or thread row.
+fn metadata(meta_name: &str, pid: u64, tid: u64, value: &str) -> String {
+    let mut out = format!("{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":");
+    write_json_string(&mut out, meta_name);
     out.push_str(",\"args\":{\"name\":");
-    write_json_string(out, value);
+    write_json_string(&mut out, value);
     out.push_str("}}");
+    out
 }
 
 /// Process id of the measured lane (worker threads) in the exported
@@ -411,60 +464,32 @@ pub const SIMULATED_PID: u64 = 2;
 /// slice — byte-identical whenever the traces are.
 #[must_use]
 pub fn chrome_trace(rows: &[TaskTrace]) -> String {
-    let mut out = String::from("{\"traceEvents\":[\n");
-    let mut first = true;
-    let mut events: Vec<String> = Vec::new();
-
     // Lane metadata: process names plus one thread row per distinct
     // worker / client, sorted for stable output.
-    let mut buf = String::new();
-    push_metadata(
-        &mut buf,
+    let mut events = vec![metadata(
         "process_name",
         MEASURED_PID,
         0,
         "measured: pool workers",
-    );
-    events.push(std::mem::take(&mut buf));
-    let mut workers: Vec<u64> = rows.iter().map(|r| r.timing.worker).collect();
-    workers.sort_unstable();
-    workers.dedup();
-    for w in &workers {
-        push_metadata(
-            &mut buf,
-            "thread_name",
-            MEASURED_PID,
-            *w,
-            &format!("worker {w}"),
-        );
-        events.push(std::mem::take(&mut buf));
+    )];
+    for w in distinct(rows, |r| r.timing.worker) {
+        let name = format!("worker {w}");
+        events.push(metadata("thread_name", MEASURED_PID, w, &name));
     }
-    push_metadata(
-        &mut buf,
+    events.push(metadata(
         "process_name",
         SIMULATED_PID,
         0,
         "simulated: AIoT devices",
-    );
-    events.push(std::mem::take(&mut buf));
-    let mut clients: Vec<u64> = rows.iter().map(|r| r.client).collect();
-    clients.sort_unstable();
-    clients.dedup();
-    for c in &clients {
-        push_metadata(
-            &mut buf,
-            "thread_name",
-            SIMULATED_PID,
-            *c,
-            &format!("client {c}"),
-        );
-        events.push(std::mem::take(&mut buf));
+    ));
+    for c in distinct(rows, |r| r.client) {
+        let name = format!("client {c}");
+        events.push(metadata("thread_name", SIMULATED_PID, c, &name));
     }
 
     // Measured lane: one slice per task on its worker's row.
     for r in rows {
-        push_slice(
-            &mut buf,
+        events.push(slice(
             &format!("r{} c{}", r.round, r.client),
             &r.engine,
             MEASURED_PID,
@@ -476,23 +501,14 @@ pub fn chrome_trace(rows: &[TaskTrace]) -> String {
                 ("client", r.client),
                 ("queue_micros", r.timing.queue_micros()),
             ],
-        );
-        events.push(std::mem::take(&mut buf));
+        ));
     }
 
     // Simulated lane: compute at the round origin, arriving uplinks
     // TDM-serialized after the slowest compute (the same model as
     // `timeline::CampaignTimeline`), origin advancing per round group.
     let mut origin = 0u64;
-    let mut start = 0usize;
-    for i in 1..=rows.len() {
-        let boundary = i == rows.len()
-            || rows[i].round != rows[start].round
-            || rows[i].engine != rows[start].engine;
-        if !boundary {
-            continue;
-        }
-        let group = &rows[start..i];
+    for group in rows.chunk_by(same_round) {
         let max_compute = group
             .iter()
             .map(|r| r.sim_compute_micros)
@@ -504,8 +520,7 @@ pub fn chrome_trace(rows: &[TaskTrace]) -> String {
             } else {
                 format!("{},compute,straggler", r.engine)
             };
-            push_slice(
-                &mut buf,
+            events.push(slice(
                 &format!("r{} compute", r.round),
                 &cat,
                 SIMULATED_PID,
@@ -513,17 +528,11 @@ pub fn chrome_trace(rows: &[TaskTrace]) -> String {
                 origin,
                 r.sim_compute_micros,
                 &[("round", r.round), ("client", r.client)],
-            );
-            events.push(std::mem::take(&mut buf));
+            ));
         }
         let mut cursor = origin + max_compute;
-        let mut uplink_total = 0u64;
-        for r in group {
-            if !r.arrived {
-                continue;
-            }
-            push_slice(
-                &mut buf,
+        for r in group.iter().filter(|r| r.arrived) {
+            events.push(slice(
                 &format!("r{} uplink", r.round),
                 &format!("{},uplink", r.engine),
                 SIMULATED_PID,
@@ -531,24 +540,12 @@ pub fn chrome_trace(rows: &[TaskTrace]) -> String {
                 cursor,
                 r.sim_uplink_micros,
                 &[("round", r.round), ("client", r.client)],
-            );
-            events.push(std::mem::take(&mut buf));
+            ));
             cursor += r.sim_uplink_micros;
-            uplink_total += r.sim_uplink_micros;
         }
-        origin += max_compute + uplink_total;
-        start = i;
+        origin = cursor;
     }
-
-    for e in events {
-        if !first {
-            out.push_str(",\n");
-        }
-        out.push_str(&e);
-        first = false;
-    }
-    out.push_str("\n]}\n");
-    out
+    format!("{{\"traceEvents\":[\n{}\n]}}\n", events.join(",\n"))
 }
 
 #[cfg(test)]
@@ -683,25 +680,46 @@ mod tests {
         );
     }
 
+    /// Both trace records round-trip through their own codecs: emitted
+    /// by a recorder, serialized, read back, equal.
     #[test]
     fn event_fields_round_trip() {
-        let text = r#"{"ts":1,"kind":"event","name":"trace.task","fields":{"arrived":1,"client":3,"end_micros":40,"engine":"fedavg","enqueue_micros":10,"round":2,"sim_compute_micros":7,"sim_uplink_micros":9,"start_micros":20,"worker":1}}"#;
-        let v = jsonl::parse(text).unwrap();
-        let t = TaskTrace::from_event_fields(v.get("fields").unwrap()).unwrap();
-        assert_eq!(t.round, 2);
-        assert_eq!(t.client, 3);
-        assert_eq!(t.engine, "fedavg");
-        assert!(t.arrived);
-        assert_eq!(t.timing.worker, 1);
-        assert_eq!(t.timing.enqueue_micros, 10);
-        assert_eq!(t.timing.start_micros, 20);
-        assert_eq!(t.timing.end_micros, 40);
-        assert_eq!(t.sim_compute_micros, 7);
-        assert_eq!(t.sim_uplink_micros, 9);
+        let sink = std::sync::Arc::new(crate::sink::MemorySink::new());
+        let tel = Recorder::with_sink(sink.clone());
+        let mut task = row(2, 3, true, 7, 9);
+        task.engine = "fedavg".into();
+        task.timing = TaskTiming {
+            worker: 1,
+            enqueue_micros: 10,
+            start_micros: 20,
+            end_micros: 40,
+        };
+        tel.record_task_trace(task.clone());
+        let summary = summarize_round(std::slice::from_ref(&task));
+        assert!(summary.worker_utilization > 0.0);
+        summary.emit(&tel);
+        let stream: Vec<String> = sink.events().iter().map(|e| e.to_json()).collect();
+        let skipped = jsonl::read_records(&stream.join("\n"), |kind, name, fields| {
+            assert_eq!(kind, "event");
+            match name {
+                "trace.task" => {
+                    assert_eq!(TaskTrace::from_event_fields(fields), Some(task.clone()))
+                }
+                "trace.round" => {
+                    assert_eq!(
+                        RoundTraceSummary::from_event_fields(fields).as_ref(),
+                        Some(&summary)
+                    );
+                }
+                other => panic!("unexpected event {other}"),
+            }
+        });
+        assert_eq!((stream.len(), skipped), (2, 0));
 
         // Foreign/partial field objects are skipped, not misread.
         let partial = jsonl::parse(r#"{"round":1}"#).unwrap();
         assert!(TaskTrace::from_event_fields(&partial).is_none());
+        assert!(RoundTraceSummary::from_event_fields(&partial).is_none());
     }
 
     #[test]
