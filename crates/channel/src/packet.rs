@@ -153,10 +153,10 @@ impl Channel for PacketLossChannel {
     }
 
     // Packed hot path: erase whole packet spans straight into the
-    // erasure bitmask. One gen_bool draw per span, lost or not — the
-    // same RNG consumption as `erase_spans` on unpacked symbols. A
-    // span counts as a dropped packet only if it still carried live
-    // (not previously erased) dimensions, mirroring
+    // erasure bitmask, a word at a time. One gen_bool draw per span,
+    // lost or not — the same RNG consumption as `erase_spans` on
+    // unpacked symbols. A span counts as a dropped packet only if it
+    // still carried live (not previously erased) dimensions, mirroring
     // `account_span_erasures`'s had-data rule.
     fn transmit_packed_stats(
         &self,
@@ -174,15 +174,7 @@ impl Channel for PacketLossChannel {
         while start < live_bits {
             let end = (start + span).min(live_bits);
             if rng.gen_bool(self.loss_prob) {
-                let mut live = 0u64;
-                for i in start..end {
-                    let (w, b) = (i / 64, i % 64);
-                    if erased[w] >> b & 1 == 0 {
-                        live += 1;
-                    }
-                    erased[w] |= 1u64 << b;
-                    words[w] &= !(1u64 << b);
-                }
+                let live = erase_bits(words, erased, start, end);
                 if live > 0 {
                     dropped += 1;
                     dims += live;
@@ -193,6 +185,24 @@ impl Channel for PacketLossChannel {
         stats.add_packets_dropped(dropped);
         stats.add_dims_erased(dims);
     }
+}
+
+/// Erases dimensions `start..end` (a non-empty range) of a packed row:
+/// sets their bits in `erased`, clears them in `words`, and returns how
+/// many of them were still live — one mask per `u64` the range overlaps.
+fn erase_bits(words: &mut [u64], erased: &mut [u64], start: usize, end: usize) -> u64 {
+    let (first, last) = (start / 64, (end - 1) / 64);
+    let mut live = 0u64;
+    for w in first..=last {
+        // The range's share of word `w`, as bit positions `lo..hi`.
+        let lo = if w == first { start % 64 } else { 0 };
+        let hi = if w == last { (end - 1) % 64 + 1 } else { 64 };
+        let mask = (u64::MAX >> (64 - (hi - lo))) << lo;
+        live += u64::from((mask & !erased[w]).count_ones());
+        erased[w] |= mask;
+        words[w] &= !mask;
+    }
+    live
 }
 
 #[cfg(test)]
@@ -323,6 +333,103 @@ mod tests {
         assert_eq!(snap.dims_erased, dropped * 64);
         assert_eq!(snap.bits_flipped, 0);
         assert_eq!(snap.symbols_sent, live_bits as u64);
+    }
+
+    /// The per-bit erase loop the word masks of [`erase_bits`] replaced,
+    /// kept verbatim as their oracle.
+    fn transmit_packed_per_bit(
+        ch: &PacketLossChannel,
+        words: &mut [u64],
+        erased: &mut [u64],
+        live_bits: usize,
+        rng: &mut dyn RngCore,
+        stats: &crate::ChannelStats,
+    ) {
+        stats.record_transmission(live_bits as u64);
+        let span = ch.symbols_per_packet(1);
+        let mut dropped = 0u64;
+        let mut dims = 0u64;
+        let mut start = 0usize;
+        while start < live_bits {
+            let end = (start + span).min(live_bits);
+            if rng.gen_bool(ch.loss_prob) {
+                let mut live = 0u64;
+                for i in start..end {
+                    let (w, b) = (i / 64, i % 64);
+                    if erased[w] >> b & 1 == 0 {
+                        live += 1;
+                    }
+                    erased[w] |= 1u64 << b;
+                    words[w] &= !(1u64 << b);
+                }
+                if live > 0 {
+                    dropped += 1;
+                    dims += live;
+                }
+            }
+            start = end;
+        }
+        stats.add_packets_dropped(dropped);
+        stats.add_dims_erased(dims);
+    }
+
+    #[test]
+    fn word_wise_erasure_is_the_per_bit_loop() {
+        use crate::{Channel, ChannelStats};
+        let mut seed = 0;
+        for live_bits in [1, 63, 64, 65, 130, 1000, 2049] {
+            // Spans inside a word, across word boundaries, whole words,
+            // and one longer than the row.
+            for packet_bits in [1, 7, 63, 64, 65, 100, 256, 1000, live_bits + 77] {
+                for loss_prob in [0.0, 0.1, 1.0] {
+                    // Nothing, something and everything erased on entry.
+                    for entry in [0, 1, u64::MAX] {
+                        seed += 1;
+                        let case = format!(
+                            "live {live_bits} packet {packet_bits} loss {loss_prob} \
+                             entry {entry:#x}"
+                        );
+                        // Built directly: `new` refuses the packets under
+                        // 32 bits that put several spans in one word.
+                        let ch = PacketLossChannel {
+                            loss_prob,
+                            packet_bits,
+                        };
+                        let mut fill = StdRng::seed_from_u64(seed);
+                        let n = live_bits.div_ceil(64);
+                        let erased: Vec<u64> = (0..n)
+                            .map(|_| if entry == 1 { fill.gen() } else { entry })
+                            .collect();
+                        let words: Vec<u64> =
+                            erased.iter().map(|e| fill.gen::<u64>() & !e).collect();
+                        let (mut got, mut got_erased) = (words.clone(), erased.clone());
+                        let (mut want, mut want_erased) = (words, erased);
+                        let (got_stats, want_stats) = (ChannelStats::new(), ChannelStats::new());
+                        let mut got_rng = StdRng::seed_from_u64(seed ^ 0xa5a5);
+                        let mut want_rng = got_rng.clone();
+                        ch.transmit_packed_stats(
+                            &mut got,
+                            &mut got_erased,
+                            live_bits,
+                            &mut got_rng,
+                            &got_stats,
+                        );
+                        transmit_packed_per_bit(
+                            &ch,
+                            &mut want,
+                            &mut want_erased,
+                            live_bits,
+                            &mut want_rng,
+                            &want_stats,
+                        );
+                        assert_eq!(got, want, "{case}: words");
+                        assert_eq!(got_erased, want_erased, "{case}: mask");
+                        assert_eq!(got_stats.snapshot(), want_stats.snapshot(), "{case}");
+                        assert_eq!(got_rng.next_u64(), want_rng.next_u64(), "{case}: draws");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

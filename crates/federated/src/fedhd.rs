@@ -17,15 +17,18 @@
 //!   clients refine `i32` sign-counter prototypes, the wire carries the
 //!   bit-packed sign words directly (no float detour), and the server
 //!   folds a majority vote per dimension. [`HdExecution`] selects, once at
-//!   construction, between the SIMD-backed packed learner and the
-//!   element-wise reference oracle — both produce bit-identical
-//!   campaigns (`tests/parity.rs`).
+//!   construction, between the SIMD-backed packed learner — which keeps
+//!   the global model as counters and sign words for the life of the
+//!   federation and converts nothing per round — and the element-wise
+//!   reference oracle, which casts the float global every round; both
+//!   produce bit-identical campaigns (`tests/parity.rs`).
 
 use fhdnn_channel::lte::LteLink;
 use fhdnn_channel::Channel;
 use fhdnn_hdc::model::HdModel;
 use fhdnn_hdc::packed::{
-    pack_signs_i32, reference::ReferenceHdModel, words_for, PackedBatch, PackedHdModel,
+    pack_signs_i32, reference::ReferenceHdModel, words_for, PackedBatch, PackedClientModel,
+    PackedHdModel,
 };
 use fhdnn_hdc::quantizer::{dequantize_into, quantize};
 use fhdnn_telemetry::Recorder;
@@ -134,8 +137,8 @@ enum HdEngine {
 }
 
 /// What the HD rules share, and the [`Algorithm`] the driver sees: the
-/// global model (float prototypes — under the binary rules exactly
-/// integer-valued, they only ever hold majority-vote counts), the
+/// global model (float prototypes — under the binary rules the published
+/// view of integer majority-vote counts, rewritten by every vote), the
 /// clients, the wire format and the round's arrivals.
 #[derive(Debug)]
 struct Hd<R: HdRule> {
@@ -176,9 +179,9 @@ trait HdRule: Sync {
     /// over `out`.
     fn delta(update: &Self::Update, baseline: &[f32], out: &mut Vec<f32>);
     /// The new global model from the arrived updates, in arrival order.
-    fn aggregate(received: &[Self::Update], global: &mut HdModel) -> Result<()>;
+    fn aggregate(&mut self, received: &[Self::Update], global: &mut HdModel) -> Result<()>;
     /// Test accuracy of `global`.
-    fn accuracy(global: &HdModel, test: &HdClientData) -> Result<f32>;
+    fn accuracy(&mut self, global: &HdModel, test: &HdClientData) -> Result<f32>;
 }
 
 impl<R: HdRule> Hd<R> {
@@ -266,13 +269,13 @@ impl<R: HdRule> Algorithm for Hd<R> {
     }
 
     fn finish_aggregate(&mut self) -> Result<()> {
-        let done = R::aggregate(&self.received, &mut self.global);
+        let done = self.rule.aggregate(&self.received, &mut self.global);
         self.received.clear();
         done
     }
 
     fn evaluate(&mut self, test: &HdClientData) -> Result<f32> {
-        R::accuracy(&self.global, test)
+        self.rule.accuracy(&self.global, test)
     }
 
     fn client_delta(&self, update: &R::Update, out: &mut Vec<f32>) {
@@ -375,14 +378,14 @@ impl HdRule for Dense {
 
     /// Bundle then normalize by the arrival count: cosine inference is
     /// scale-invariant, so mean == the paper's sum, numerically tame.
-    fn aggregate(received: &[HdModel], global: &mut HdModel) -> Result<()> {
+    fn aggregate(&mut self, received: &[HdModel], global: &mut HdModel) -> Result<()> {
         let mut bundled = HdModel::bundle(received)?;
         bundled.scale(1.0 / received.len() as f32);
         *global = bundled;
         Ok(())
     }
 
-    fn accuracy(global: &HdModel, test: &HdClientData) -> Result<f32> {
+    fn accuracy(&mut self, global: &HdModel, test: &HdClientData) -> Result<f32> {
         Ok(global.accuracy(&test.hypervectors, &test.labels)?)
     }
 }
@@ -488,8 +491,9 @@ static SIGN_VIEW: [[f32; 8]; 256] = {
     table
 };
 
-/// The global model as the binary rules broadcast it: integer counters
-/// (a lossless conversion, see [`Hd`]), taken once per round.
+/// The float global model cast to the integer counters the binary rules
+/// work on (lossless once a vote has written it, see [`Hd`]): once at
+/// construction under [`Packed`], every round under [`Reference`].
 #[derive(Debug, Default)]
 struct Counters {
     counts: Vec<i32>,
@@ -510,88 +514,104 @@ impl Counters {
 /// The vote counts become the new global verbatim — sign-dot inference
 /// is scale-invariant, so the 1/n normalization of the dense rule is
 /// unnecessary and would destroy integer exactness.
-fn store_votes(global: &mut HdModel, votes: &[i32]) {
-    let protos = global.prototypes_mut().as_mut_slice();
+fn store_votes(protos: &mut [f32], votes: &[i32]) {
     for (dst, &v) in protos.iter_mut().zip(votes) {
         *dst = v as f32;
     }
 }
 
-/// The binary rule on the SIMD hot path: clients refine `i32`
-/// sign-counter prototypes over hypervectors bit-packed once at
-/// construction, and the server folds a per-dimension majority vote.
+/// The binary rule on the SIMD hot path. The global model lives here as
+/// the engine uses it — `i32` counters and their sign words, built once
+/// from the initial float model — and no round converts it: clients are
+/// handed the sign words and copy a class's counters when they first
+/// refine it, over hypervectors bit-packed once at construction; the
+/// server folds the per-dimension majority vote back into the resident
+/// counters and writes the float model of [`Hd`] as their published view.
 #[derive(Debug)]
 struct Packed {
     batches: Vec<PackedBatch>,
-    broadcast: Counters,
+    /// The global model. Its counters equal the `as i32` cast of
+    /// [`Hd`]'s float prototypes between rounds: both are written only by
+    /// `aggregate`, together.
+    model: PackedHdModel,
+    /// `model` is all zero: clients bootstrap by one-shot bundling before
+    /// the paper's refinement loop takes over.
+    untrained: bool,
+    /// The test set as last evaluated, re-packed every round over the
+    /// same words.
+    test: PackedBatch,
 }
 
 impl HdRule for Packed {
-    type Local = PackedHdModel;
+    type Local = PackedClientModel;
     type Update = SignRows;
 
     fn begin_round(&mut self, global: &HdModel) {
-        self.broadcast = Counters::of(global);
+        debug_assert!(
+            global
+                .prototypes()
+                .as_slice()
+                .iter()
+                .zip(self.model.protos())
+                .all(|(&published, &resident)| published as i32 == resident),
+            "the resident counters are the cast of the published global"
+        );
     }
 
-    fn broadcast(&self, global: &HdModel) -> Result<PackedHdModel> {
-        let counts = self.broadcast.counts.clone();
-        Ok(PackedHdModel::from_counts(
-            counts,
-            global.num_classes(),
-            global.dim(),
-        )?)
+    fn broadcast(&self, _global: &HdModel) -> Result<PackedClientModel> {
+        Ok(PackedClientModel::of(&self.model))
     }
 
     fn train(
         &self,
         client: usize,
         data: &HdClientData,
-        local: &mut PackedHdModel,
+        local: &mut PackedClientModel,
         epochs: usize,
     ) -> Result<()> {
         let batch = &self.batches[client];
-        if self.broadcast.untrained {
-            local.one_shot_train(batch, &data.labels)?;
+        if self.untrained {
+            local.one_shot_train(&self.model, batch, &data.labels)?;
         }
         for _ in 0..epochs {
-            local.refine_epoch(batch, &data.labels)?;
+            local.refine_epoch(&self.model, batch, &data.labels)?;
         }
         Ok(())
     }
 
-    fn transmit(&self, local: PackedHdModel, up: &mut Uplink<'_>) -> Result<SignRows> {
-        // The packed rows are already the wire payload — one memcpy per
-        // class, no re-encoding.
-        let mut words = Vec::with_capacity(local.num_classes() * words_for(local.dim()));
-        for c in 0..local.num_classes() {
-            words.extend_from_slice(local.packed_row(c));
-        }
-        Ok(SignRows::send(words, local.dim(), up))
+    fn transmit(&self, local: PackedClientModel, up: &mut Uplink<'_>) -> Result<SignRows> {
+        // The packed rows are already the wire payload: they move onto
+        // the wire as they are.
+        Ok(SignRows::send(local.into_words(), self.model.dim(), up))
     }
 
     fn delta(update: &SignRows, baseline: &[f32], out: &mut Vec<f32>) {
         update.delta_into(baseline, out);
     }
 
-    fn aggregate(received: &[SignRows], global: &mut HdModel) -> Result<()> {
-        let mut agg = PackedHdModel::new(global.num_classes(), global.dim())?;
-        for rows in received {
-            for c in 0..global.num_classes() {
-                let (words, erased) = rows.row(c);
-                agg.vote_row(c, words, erased);
-            }
+    /// One class at a time: the row's votes are summed where the row
+    /// lives, its signs re-derived, its float view written — the counts
+    /// are exact integers, so taking the arrivals row by row instead of
+    /// update by update changes no bit.
+    fn aggregate(&mut self, received: &[SignRows], global: &mut HdModel) -> Result<()> {
+        let dim = global.dim();
+        let protos = global.prototypes_mut().as_mut_slice();
+        self.untrained = true;
+        for (c, published) in protos.chunks_exact_mut(dim).enumerate() {
+            let votes = self
+                .model
+                .revote_row(c, received.iter().map(|rows| rows.row(c)));
+            self.untrained &= votes.iter().all(|&v| v == 0);
+            store_votes(published, votes);
         }
-        agg.repack_all();
-        store_votes(global, agg.protos());
         Ok(())
     }
 
-    fn accuracy(global: &HdModel, test: &HdClientData) -> Result<f32> {
-        let counts = Counters::of(global).counts;
-        let model = PackedHdModel::from_counts(counts, global.num_classes(), global.dim())?;
-        let batch = PackedBatch::from_tensor(&test.hypervectors)?;
-        Ok(model.accuracy(&batch, &test.labels)? as f32)
+    fn accuracy(&mut self, _global: &HdModel, test: &HdClientData) -> Result<f32> {
+        // Packed anew every round: the caller owns the test set and may
+        // have changed it since the last one.
+        self.test.pack_tensor(&test.hypervectors)?;
+        Ok(self.model.accuracy(&self.test, &test.labels)? as f32)
     }
 }
 
@@ -655,7 +675,7 @@ impl HdRule for Reference {
         update.delta_into(baseline, out);
     }
 
-    fn aggregate(received: &[SignRows], global: &mut HdModel) -> Result<()> {
+    fn aggregate(&mut self, received: &[SignRows], global: &mut HdModel) -> Result<()> {
         let dim = global.dim();
         let mut votes = vec![0i32; global.num_params()];
         for rows in received {
@@ -664,11 +684,11 @@ impl HdRule for Reference {
                 fhdnn_hdc::simd::scalar::vote_pm1_masked(votes, words, erased);
             }
         }
-        store_votes(global, &votes);
+        store_votes(global.prototypes_mut().as_mut_slice(), &votes);
         Ok(())
     }
 
-    fn accuracy(global: &HdModel, test: &HdClientData) -> Result<f32> {
+    fn accuracy(&mut self, global: &HdModel, test: &HdClientData) -> Result<f32> {
         let model = Self::model(Counters::of(global).counts, global);
         Ok(model.accuracy(&test.hypervectors, &test.labels)? as f32)
     }
@@ -741,9 +761,19 @@ impl HdFederation {
                     .iter()
                     .map(|c| PackedBatch::from_tensor(&c.hypervectors))
                     .collect::<fhdnn_hdc::Result<_>>()?;
+                // The one cast of the packed engine's life: a pre-trained
+                // or non-integer initial global enters exactly as a
+                // per-round cast would have read it.
+                let initial = Counters::of(&global);
                 let rule = Packed {
                     batches,
-                    broadcast: Counters::default(),
+                    model: PackedHdModel::from_counts(
+                        initial.counts,
+                        global.num_classes(),
+                        global.dim(),
+                    )?,
+                    untrained: initial.untrained,
+                    test: PackedBatch::default(),
                 };
                 HdEngine::Packed(Hd::new(global, clients, transport, epochs, rule))
             }
@@ -1090,20 +1120,141 @@ mod tests {
             let mut fed =
                 HdFederation::new(global, clients.clone(), cfg, HdTransport::Binary).unwrap();
             let history = fed.run(&NoiselessChannel::new(), &test, "exec").unwrap();
-            let protos: Vec<u32> = fed
-                .global()
-                .prototypes()
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            (history, protos, fed.channel_stats())
+            (history, global_bits(&fed), fed.channel_stats())
         };
         let packed = run(HdExecution::Packed);
         let reference = run(HdExecution::Reference);
         assert_eq!(packed.0, reference.0, "histories diverged");
         assert_eq!(packed.1, reference.1, "prototype bits diverged");
         assert_eq!(packed.2, reference.2, "channel stats diverged");
+    }
+
+    /// Prototype bits of the published global model.
+    fn global_bits(fed: &HdFederation) -> Vec<u32> {
+        let protos = fed.global().prototypes().as_slice();
+        protos.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The packed rule's bootstrap flag.
+    fn untrained(fed: &HdFederation) -> bool {
+        match &fed.engine {
+            HdEngine::Packed(hd) => hd.rule.untrained,
+            _ => panic!("not the packed engine"),
+        }
+    }
+
+    /// One binary federation per execution over the same clients and
+    /// initial model, driven through the same `rounds`; every round both
+    /// must agree on the metrics, the global's bits and the channel
+    /// damage. The packed rule's `begin_round` asserts on the way that
+    /// its resident counters are the cast of the published global.
+    fn packed_and_reference_agree(
+        initial: &HdModel,
+        straggler_prob: f64,
+        rounds: &[&dyn Channel],
+        mut after_round: impl FnMut(usize, &HdFederation),
+    ) -> HdFederation {
+        let (clients, test, _) = encoded_clients(4, 12);
+        let mut feds = [HdExecution::Packed, HdExecution::Reference].map(|execution| {
+            let cfg = FlConfig {
+                execution,
+                ..config(4, rounds.len())
+            };
+            let mut fed =
+                HdFederation::new(initial.clone(), clients.clone(), cfg, HdTransport::Binary)
+                    .unwrap();
+            fed.set_straggler_prob(straggler_prob).unwrap();
+            fed
+        });
+        for (round, &channel) in rounds.iter().enumerate() {
+            let [packed, reference] = &mut feds;
+            let metrics = packed.run_round(channel, &test).unwrap();
+            assert_eq!(
+                metrics.test_accuracy,
+                reference.run_round(channel, &test).unwrap().test_accuracy,
+                "round {round}: accuracy"
+            );
+            assert_eq!(
+                global_bits(packed),
+                global_bits(reference),
+                "round {round}: global"
+            );
+            assert_eq!(
+                packed.channel_stats(),
+                reference.channel_stats(),
+                "round {round}: channel damage"
+            );
+            after_round(round, packed);
+        }
+        let [packed, _] = feds;
+        packed
+    }
+
+    #[test]
+    fn resident_counters_survive_a_round_without_arrivals() {
+        let clean: &dyn Channel = &NoiselessChannel::new();
+        let initial = HdModel::new(5, DIM).unwrap();
+        let mut bits = Vec::new();
+        // Everyone straggles (as good as surely): the driver skips
+        // `aggregate`, so neither form of the global may move.
+        let fed = packed_and_reference_agree(&initial, 1.0 - 1e-12, &[clean; 2], |_, fed| {
+            assert!(untrained(fed), "nothing arrived, nothing was voted");
+            bits.push(global_bits(fed));
+        });
+        assert!(bits.iter().all(|b| b.iter().all(|&v| v == 0)));
+        assert_eq!(fed.channel_stats().transmissions, 0);
+    }
+
+    #[test]
+    fn resident_counters_enter_as_the_per_round_cast_would_read_them() {
+        let clean: &dyn Channel = &NoiselessChannel::new();
+        // A global that two rounds have trained...
+        let blank = HdModel::new(5, DIM).unwrap();
+        let trained = packed_and_reference_agree(&blank, 0.0, &[clean; 2], |_, _| {});
+        let mut initials = vec![trained.global().clone()];
+        // ...and one no vote could have written: fractions on both sides
+        // of zero, values that truncate to zero, a negative zero.
+        let mut fractional = trained.global().clone();
+        let values = fractional.prototypes_mut().as_mut_slice();
+        for (i, v) in values.iter_mut().enumerate() {
+            *v = [0.5, -0.5, 1.75, -2.25, -0.0, 3.0][i % 6] * (1 + i % 3) as f32;
+        }
+        initials.push(fractional);
+        for initial in &initials {
+            let before: Vec<u32> = initial
+                .prototypes()
+                .as_slice()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            // A round nobody reports from leaves the published view as it
+            // was handed in, fractions and all; the next one votes.
+            let lossy: &dyn Channel = &PacketLossChannel::new(0.1, 256).unwrap();
+            let mut fed = packed_and_reference_agree(initial, 1.0 - 1e-12, &[lossy], |_, fed| {
+                assert!(!untrained(fed), "a non-zero initial global is trained");
+                assert_eq!(global_bits(fed), before);
+            });
+            fed.set_straggler_prob(0.0).unwrap();
+            let (_, test, _) = encoded_clients(4, 12);
+            fed.run_round(lossy, &test).unwrap();
+            assert_ne!(global_bits(&fed), before);
+            packed_and_reference_agree(initial, 0.3, &[lossy; 3], |_, _| {});
+        }
+    }
+
+    #[test]
+    fn bootstrap_stays_on_until_the_first_vote_lands() {
+        // Round 0 loses every packet: all dimensions abstain, the vote is
+        // all zero and clients must bootstrap again. Round 1 gets through.
+        let black_hole = PacketLossChannel::new(1.0, 256).unwrap();
+        let clean = NoiselessChannel::new();
+        let initial = HdModel::new(5, DIM).unwrap();
+        let rounds: [&dyn Channel; 3] = [&black_hole, &clean, &clean];
+        packed_and_reference_agree(&initial, 0.0, &rounds, |round, fed| {
+            assert_eq!(untrained(fed), round == 0, "after round {round}");
+            let zero = global_bits(fed).iter().all(|&v| v == 0);
+            assert_eq!(zero, round == 0, "after round {round}");
+        });
     }
 
     #[test]
@@ -1299,14 +1450,7 @@ mod tests {
             fed.set_straggler_prob(0.3).unwrap();
             fed.set_threads(threads);
             let history = fed.run(&NoiselessChannel::new(), &test, "par").unwrap();
-            let protos: Vec<u32> = fed
-                .global()
-                .prototypes()
-                .as_slice()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            (history, protos, fed.channel_stats())
+            (history, global_bits(&fed), fed.channel_stats())
         };
         let serial = run(1);
         for threads in [2, 8] {

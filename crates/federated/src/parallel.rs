@@ -170,7 +170,8 @@ where
                 let result = f(i, task);
                 let end = if timed { tel.now_micros() } else { 0 };
                 let timing = TaskTiming {
-                    worker: w as u64,
+                    // All-zero without a recorder, the worker id included.
+                    worker: if timed { w as u64 } else { 0 },
                     enqueue_micros: enqueued[i],
                     start_micros: start,
                     end_micros: end,
@@ -258,14 +259,28 @@ mod tests {
 
     #[test]
     fn disabled_recorder_yields_zero_timings() {
-        let out = run_tasks_traced(
-            (0..5u32).collect(),
-            4,
-            &fhdnn_telemetry::Recorder::disabled(),
-            |_, t| t,
-        );
-        for (_, timing) in &out {
-            assert_eq!(*timing, fhdnn_telemetry::trace::TaskTiming::default());
+        for threads in [2, 4, 8] {
+            // The first `threads` tasks meet at a barrier, so each is held
+            // by a different worker: every worker id is behind some task.
+            let all_workers = std::sync::Barrier::new(threads);
+            let out = run_tasks_traced(
+                (0..64usize).collect(),
+                threads,
+                &fhdnn_telemetry::Recorder::disabled(),
+                |i, t| {
+                    if i < threads {
+                        all_workers.wait();
+                    }
+                    t
+                },
+            );
+            for (task, timing) in &out {
+                assert_eq!(
+                    *timing,
+                    TaskTiming::default(),
+                    "task {task} threads={threads}"
+                );
+            }
         }
     }
 

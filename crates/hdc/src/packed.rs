@@ -88,8 +88,9 @@ pub fn dot_packed(a: &[u64], b: &[u64], dim: usize) -> i64 {
 }
 
 /// A batch of bipolar hypervectors packed one bit per dimension, row
-/// after row (`stride = words_for(dim)` words per row).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// after row (`stride = words_for(dim)` words per row). The default is
+/// the empty batch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PackedBatch {
     words: Vec<u64>,
     rows: usize,
@@ -105,6 +106,20 @@ impl PackedBatch {
     ///
     /// Rejects tensors that are not rank-2.
     pub fn from_tensor(x: &Tensor) -> Result<Self> {
+        let mut batch = PackedBatch::default();
+        batch.pack_tensor(x)?;
+        Ok(batch)
+    }
+
+    /// [`PackedBatch::from_tensor`] over this batch's own word buffer:
+    /// whatever it held is replaced, and packing a tensor of the shape it
+    /// already has allocates nothing — for a caller that packs the same
+    /// set again and again.
+    ///
+    /// # Errors
+    ///
+    /// Rejects tensors that are not rank-2 (the batch is left as it was).
+    pub fn pack_tensor(&mut self, x: &Tensor) -> Result<()> {
         if x.shape().rank() != 2 {
             return Err(HdcError::InvalidArgument(format!(
                 "expected a [rows, dim] tensor, got {:?}",
@@ -114,29 +129,32 @@ impl PackedBatch {
         // BOUNDS: the rank-2 check above guarantees dims() has exactly
         // two elements.
         let (rows, dim) = (x.dims()[0], x.dims()[1]);
-        Ok(Self::from_rows(x.as_slice(), rows, dim))
+        self.pack_rows(x.as_slice(), rows, dim);
+        Ok(())
     }
 
     /// Packs `rows` rows of `dim` sign values laid out contiguously.
     #[must_use]
     pub fn from_rows(data: &[f32], rows: usize, dim: usize) -> Self {
+        let mut batch = PackedBatch::default();
+        batch.pack_rows(data, rows, dim);
+        batch
+    }
+
+    fn pack_rows(&mut self, data: &[f32], rows: usize, dim: usize) {
         debug_assert_eq!(data.len(), rows * dim);
         let stride = words_for(dim);
-        let mut words = vec![0u64; rows * stride];
+        // Every word is written below: `pack_f32_into` clears its row.
+        self.words.resize(rows * stride, 0);
         // BOUNDS: r < rows, so the data slice ends at rows*dim =
         // data.len() and the word slice at rows*stride = words.len().
         for r in 0..rows {
             crate::simd::pack_f32_into(
                 &data[r * dim..(r + 1) * dim],
-                &mut words[r * stride..(r + 1) * stride],
+                &mut self.words[r * stride..(r + 1) * stride],
             );
         }
-        PackedBatch {
-            words,
-            rows,
-            dim,
-            stride,
-        }
+        (self.rows, self.dim, self.stride) = (rows, dim, stride);
     }
 
     /// Number of packed rows.
@@ -175,6 +193,106 @@ impl PackedBatch {
             })
             .collect()
     }
+}
+
+/// Where a binary-HD learner keeps its class rows. Prediction reads
+/// every class's sign words; an update writes one class's counters and
+/// re-derives that row's sign words from them. A [`PackedHdModel`] owns
+/// both for every class; a [`PackedClientModel`] owns the sign words and
+/// takes a class's counters from the broadcast model the first time it
+/// writes them. The learner ([`one_shot`], [`refine`]) is written once,
+/// over this trait.
+trait ClassRows {
+    /// Number of classes.
+    fn num_classes(&self) -> usize;
+    /// Hypervector dimensionality.
+    fn dim(&self) -> usize;
+    /// The sign words of every class, row after row.
+    fn signs(&self) -> &[u64];
+    /// Class `c`'s counters and sign words, to be updated together.
+    fn row_mut(&mut self, c: usize) -> (&mut [i32], &mut [u64]);
+}
+
+/// The argmax of `dot(sign(c_k), h) = dim − 2·popcount(packed_k ⊕ h)`
+/// over the rows of `signs`, with first-max tie-breaking (the same `>`
+/// rule as [`HdModel::refine_epoch`](crate::model::HdModel::refine_epoch)).
+// BOUNDS: every constructor rejects dim == 0, so the chunk size
+// words_for(dim) is at least one.
+fn predict(signs: &[u64], dim: usize, h: &[u64]) -> usize {
+    let mut best = (i64::MIN, 0usize);
+    for (c, row) in signs.chunks_exact(words_for(dim)).enumerate() {
+        let dot = dot_packed(row, h, dim);
+        if dot > best.0 {
+            best = (dot, c);
+        }
+    }
+    best.1
+}
+
+/// Adds (`delta = +1`) or subtracts (`delta = −1`) the packed ±1 vector
+/// `h` into class `c`'s counters, then refreshes that row's sign words.
+fn accumulate<R: ClassRows>(rows: &mut R, c: usize, h: &[u64], delta: i32) {
+    let (counters, signs) = rows.row_mut(c);
+    crate::simd::accumulate_pm1(counters, h, delta);
+    crate::simd::pack_i32_into(counters, signs);
+}
+
+/// One-shot training (§3.3, step 2): `c_k ← c_k + h` for every sample.
+fn one_shot<R: ClassRows>(rows: &mut R, batch: &PackedBatch, labels: &[usize]) -> Result<()> {
+    check_batch(rows.num_classes(), rows.dim(), batch, labels)?;
+    for (r, &label) in labels.iter().enumerate() {
+        // `batch` is a distinct object, so its rows can be borrowed
+        // straight into the accumulator: the loop allocates nothing
+        // beyond what `row_mut` does (pinned by `tests/alloc.rs`).
+        accumulate(rows, label, batch.row(r), 1);
+    }
+    Ok(())
+}
+
+/// One epoch of mispredict-driven refinement (§3.3, step 3); returns the
+/// number of updates.
+fn refine<R: ClassRows>(rows: &mut R, batch: &PackedBatch, labels: &[usize]) -> Result<usize> {
+    check_batch(rows.num_classes(), rows.dim(), batch, labels)?;
+    let mut updates = 0;
+    for (r, &label) in labels.iter().enumerate() {
+        let h = batch.row(r);
+        let pred = predict(rows.signs(), rows.dim(), h);
+        if pred != label {
+            accumulate(rows, pred, h, -1);
+            accumulate(rows, label, h, 1);
+            updates += 1;
+        }
+    }
+    Ok(updates)
+}
+
+/// What a learner of `num_classes × dim` asks of a labelled batch.
+fn check_batch(
+    num_classes: usize,
+    dim: usize,
+    batch: &PackedBatch,
+    labels: &[usize],
+) -> Result<()> {
+    if batch.dim() != dim {
+        return Err(HdcError::InvalidArgument(format!(
+            "batch dimension {} does not match model dimension {dim}",
+            batch.dim(),
+        )));
+    }
+    if batch.rows() != labels.len() {
+        return Err(HdcError::InvalidArgument(format!(
+            "{} rows but {} labels",
+            batch.rows(),
+            labels.len()
+        )));
+    }
+    if let Some(&bad) = labels.iter().find(|&&l| l >= num_classes) {
+        return Err(HdcError::LabelOutOfRange {
+            label: bad,
+            num_classes,
+        });
+    }
+    Ok(())
 }
 
 /// Binary-HD learner over bit-packed encodings: integer prototype
@@ -276,23 +394,9 @@ impl PackedHdModel {
     }
 
     /// Re-derives the packed signs of class `c` from its accumulators.
-    // BOUNDS: c < num_classes at every call site (constructors iterate
-    // 0..num_classes; updates go through check_batch's label check).
     fn repack_row(&mut self, c: usize) {
-        crate::simd::pack_i32_into(
-            &self.protos[c * self.dim..(c + 1) * self.dim],
-            &mut self.packed[c * self.stride..(c + 1) * self.stride],
-        );
-    }
-
-    /// Adds (`delta = +1`) or subtracts (`delta = −1`) the packed ±1
-    /// vector `h` into class `c`'s accumulators, then refreshes that
-    /// row's packed signs.
-    // BOUNDS: c is a checked label (check_batch) or a predict_packed
-    // result, both < num_classes; protos.len() = num_classes * dim.
-    fn accumulate(&mut self, c: usize, h: &[u64], delta: i32) {
-        crate::simd::accumulate_pm1(&mut self.protos[c * self.dim..(c + 1) * self.dim], h, delta);
-        self.repack_row(c);
+        let (counters, signs) = self.row_mut(c);
+        crate::simd::pack_i32_into(counters, signs);
     }
 
     /// Majority-vote fold of one received sign row into class `c`'s
@@ -305,11 +409,8 @@ impl PackedHdModel {
     // BOUNDS: slicing panics (by design) on c >= num_classes, matching
     // the indexing contract of packed_row.
     pub fn vote_row(&mut self, c: usize, words: &[u64], erased: &[u64]) {
-        crate::simd::vote_pm1_masked(
-            &mut self.protos[c * self.dim..(c + 1) * self.dim],
-            words,
-            erased,
-        );
+        let (counters, _) = self.row_mut(c);
+        crate::simd::vote_pm1_masked(counters, words, erased);
     }
 
     /// Refreshes every row's packed signs from the accumulators — the
@@ -320,6 +421,30 @@ impl PackedHdModel {
         }
     }
 
+    /// Replaces class `c`'s accumulators by the majority vote over
+    /// `arrivals` — each one received `(words, erased)` row, read as
+    /// [`PackedHdModel::vote_row`] reads it — refreshes the row's packed
+    /// signs and returns the new counts. This is the fold of a whole
+    /// cohort into a fresh model, one class at a time and in place: the
+    /// row being voted stays in cache and no second model exists. The
+    /// sums are exact integers, so the order of `arrivals` is immaterial;
+    /// none at all leaves the row zero.
+    // BOUNDS: slicing panics (by design) on c >= num_classes, matching
+    // the indexing contract of packed_row.
+    pub fn revote_row<'a>(
+        &mut self,
+        c: usize,
+        arrivals: impl IntoIterator<Item = (&'a [u64], &'a [u64])>,
+    ) -> &[i32] {
+        let (counters, signs) = self.row_mut(c);
+        counters.fill(0);
+        for (words, erased) in arrivals {
+            crate::simd::vote_pm1_masked(counters, words, erased);
+        }
+        crate::simd::pack_i32_into(counters, signs);
+        counters
+    }
+
     /// One-shot training (§3.3, step 2): bundles every hypervector into
     /// its label's prototype, `c_k ← c_k + h`.
     ///
@@ -328,14 +453,7 @@ impl PackedHdModel {
     /// Rejects dimension mismatches, label/row count mismatches, and
     /// out-of-range labels.
     pub fn one_shot_train(&mut self, batch: &PackedBatch, labels: &[usize]) -> Result<()> {
-        self.check_batch(batch, labels)?;
-        for (r, &label) in labels.iter().enumerate() {
-            // `batch` is a distinct object, so its rows can be borrowed
-            // straight into the accumulator: the whole loop is
-            // allocation-free (pinned by `tests/alloc.rs`).
-            self.accumulate(label, batch.row(r), 1);
-        }
-        Ok(())
+        one_shot(self, batch, labels)
     }
 
     /// Predicts the class of one packed hypervector: the argmax of
@@ -344,14 +462,7 @@ impl PackedHdModel {
     /// [`HdModel::refine_epoch`](crate::model::HdModel::refine_epoch)).
     #[must_use]
     pub fn predict_packed(&self, h: &[u64]) -> usize {
-        let mut best = (i64::MIN, 0usize);
-        for c in 0..self.num_classes {
-            let dot = dot_packed(self.packed_row(c), h, self.dim);
-            if dot > best.0 {
-                best = (dot, c);
-            }
-        }
-        best.1
+        predict(&self.packed, self.dim, h)
     }
 
     /// Similarity scores (`dot(sign(c_k), h)`) of one packed
@@ -383,17 +494,7 @@ impl PackedHdModel {
     /// Rejects dimension mismatches, label/row count mismatches, and
     /// out-of-range labels.
     pub fn refine_epoch(&mut self, batch: &PackedBatch, labels: &[usize]) -> Result<usize> {
-        self.check_batch(batch, labels)?;
-        let mut updates = 0;
-        for (r, &label) in labels.iter().enumerate() {
-            let pred = self.predict_packed(batch.row(r));
-            if pred != label {
-                self.accumulate(pred, batch.row(r), -1);
-                self.accumulate(label, batch.row(r), 1);
-                updates += 1;
-            }
-        }
-        Ok(updates)
+        refine(self, batch, labels)
     }
 
     /// Fraction of the batch classified correctly.
@@ -402,7 +503,7 @@ impl PackedHdModel {
     ///
     /// Rejects dimension and label/row count mismatches.
     pub fn accuracy(&self, batch: &PackedBatch, labels: &[usize]) -> Result<f64> {
-        self.check_batch(batch, labels)?;
+        check_batch(self.num_classes, self.dim, batch, labels)?;
         // BOUNDS: the early return keeps the divisor labels.len()
         // nonzero (and f64 division cannot trap regardless).
         if labels.is_empty() {
@@ -442,29 +543,153 @@ impl PackedHdModel {
         }
         PackedHdModel::from_counts(sum, first.num_classes, first.dim)
     }
+}
 
-    fn check_batch(&self, batch: &PackedBatch, labels: &[usize]) -> Result<()> {
-        if batch.dim() != self.dim {
+impl ClassRows for PackedHdModel {
+    fn num_classes(&self) -> usize {
+        self.num_classes
+    }
+
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn signs(&self) -> &[u64] {
+        &self.packed
+    }
+
+    fn row_mut(&mut self, c: usize) -> (&mut [i32], &mut [u64]) {
+        // BOUNDS: c is below num_classes at every internal call site
+        // (constructors and repack_all iterate 0..num_classes, labels
+        // pass check_batch, predictions come from `predict`), and the
+        // public row folds panic on anything else by contract;
+        // protos.len() = num_classes * dim, packed.len() = num_classes *
+        // stride.
+        (
+            &mut self.protos[c * self.dim..(c + 1) * self.dim],
+            &mut self.packed[c * self.stride..(c + 1) * self.stride],
+        )
+    }
+}
+
+/// A client's working copy of a broadcast [`PackedHdModel`], copy on
+/// write: it is handed the model's sign words — all that prediction
+/// reads, and exactly the payload it will send back — and takes a
+/// class's counters from the broadcast model the first time training
+/// accumulates into that class. A refinement epoch that mispredicts
+/// nothing copies nothing. Trained against the model it was taken from,
+/// it ends with the sign words (and, in every class it wrote, the
+/// counters) a full clone of that model trained on the same batches
+/// would hold: both run the one learner in this module.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedClientModel {
+    /// Sign words of every class, row after row.
+    packed: Vec<u64>,
+    /// Per class, its counters once written; empty while the class
+    /// still stands as broadcast.
+    counters: Vec<Vec<i32>>,
+    dim: usize,
+}
+
+impl PackedClientModel {
+    /// The copy a client receives of `base`: its sign words.
+    #[must_use]
+    pub fn of(base: &PackedHdModel) -> Self {
+        PackedClientModel {
+            packed: base.packed.clone(),
+            counters: vec![Vec::new(); base.num_classes],
+            dim: base.dim,
+        }
+    }
+
+    /// One-shot training as [`PackedHdModel::one_shot_train`] does it,
+    /// on top of the counters of `base`, the model this copy was taken
+    /// from.
+    ///
+    /// # Errors
+    ///
+    /// Rejects a `base` of another shape, dimension mismatches,
+    /// label/row count mismatches, and out-of-range labels.
+    pub fn one_shot_train(
+        &mut self,
+        base: &PackedHdModel,
+        batch: &PackedBatch,
+        labels: &[usize],
+    ) -> Result<()> {
+        one_shot(&mut self.over(base)?, batch, labels)
+    }
+
+    /// One refinement epoch as [`PackedHdModel::refine_epoch`] runs it,
+    /// on top of the counters of `base`, the model this copy was taken
+    /// from. Returns the number of updates.
+    ///
+    /// # Errors
+    ///
+    /// As [`PackedClientModel::one_shot_train`].
+    pub fn refine_epoch(
+        &mut self,
+        base: &PackedHdModel,
+        batch: &PackedBatch,
+        labels: &[usize],
+    ) -> Result<usize> {
+        refine(&mut self.over(base)?, batch, labels)
+    }
+
+    /// The sign words of every class, row after row — the wire payload
+    /// of the binary transport.
+    #[must_use]
+    pub fn into_words(self) -> Vec<u64> {
+        self.packed
+    }
+
+    /// This copy as a learner over `base`'s counters.
+    fn over<'a>(&'a mut self, base: &'a PackedHdModel) -> Result<CopyOnWrite<'a>> {
+        if base.num_classes != self.counters.len() || base.dim != self.dim {
             return Err(HdcError::InvalidArgument(format!(
-                "batch dimension {} does not match model dimension {}",
-                batch.dim(),
-                self.dim
+                "a copy of a {}x{} model cannot train over a {}x{} one",
+                self.counters.len(),
+                self.dim,
+                base.num_classes,
+                base.dim
             )));
         }
-        if batch.rows() != labels.len() {
-            return Err(HdcError::InvalidArgument(format!(
-                "{} rows but {} labels",
-                batch.rows(),
-                labels.len()
-            )));
+        Ok(CopyOnWrite { base, copy: self })
+    }
+}
+
+/// A [`PackedClientModel`] together with the model whose counters it
+/// copies on first write.
+struct CopyOnWrite<'a> {
+    base: &'a PackedHdModel,
+    copy: &'a mut PackedClientModel,
+}
+
+impl ClassRows for CopyOnWrite<'_> {
+    fn num_classes(&self) -> usize {
+        self.base.num_classes
+    }
+
+    fn dim(&self) -> usize {
+        self.base.dim
+    }
+
+    fn signs(&self) -> &[u64] {
+        &self.copy.packed
+    }
+
+    fn row_mut(&mut self, c: usize) -> (&mut [i32], &mut [u64]) {
+        // BOUNDS: c is a checked label or a `predict` result, both below
+        // num_classes = counters.len(); `over` checked that base and
+        // copy are one shape, so the base row and the sign row exist too.
+        let (dim, stride) = (self.base.dim, self.base.stride);
+        let counters = &mut self.copy.counters[c];
+        if counters.is_empty() {
+            counters.extend_from_slice(&self.base.protos[c * dim..(c + 1) * dim]);
         }
-        if let Some(&bad) = labels.iter().find(|&&l| l >= self.num_classes) {
-            return Err(HdcError::LabelOutOfRange {
-                label: bad,
-                num_classes: self.num_classes,
-            });
-        }
-        Ok(())
+        (
+            counters,
+            &mut self.copy.packed[c * stride..(c + 1) * stride],
+        )
     }
 }
 
@@ -632,6 +857,8 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn pad_bits_stay_zero_for_odd_dims() {
@@ -709,6 +936,213 @@ mod tests {
         let b = PackedHdModel::from_counts(vec![10, 20, -30, 40], 2, 2).unwrap();
         let sum = PackedHdModel::bundle(&[a, b]).unwrap();
         assert_eq!(sum.protos(), &[11, 18, -27, 44]);
+    }
+
+    /// A random ±1 batch with random labels, and its rows as the
+    /// reference learner takes them.
+    fn labelled_batch(
+        rng: &mut StdRng,
+        samples: usize,
+        dim: usize,
+        classes: usize,
+    ) -> (PackedBatch, Vec<Vec<i32>>, Vec<usize>) {
+        let values: Vec<f32> = (0..samples * dim)
+            .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+            .collect();
+        let batch = PackedBatch::from_rows(&values, samples, dim);
+        let rows = (0..samples).map(|r| batch.unpack_row(r)).collect();
+        let labels = (0..samples).map(|_| rng.gen_range(0..classes)).collect();
+        (batch, rows, labels)
+    }
+
+    #[test]
+    fn client_copy_trains_like_a_full_clone_and_like_the_reference() {
+        use super::reference::ReferenceHdModel;
+        // The grid of `tests/parity.rs`, with the degenerate and the
+        // paper-scale ends added.
+        for dim in [1, 63, 64, 65, 1000, 1001, 2048, 10_000] {
+            for classes in [1, 2, 26] {
+                for trained_base in [false, true] {
+                    let case = format!("dim {dim} classes {classes} trained {trained_base}");
+                    let mut rng = StdRng::seed_from_u64((dim * 100 + classes) as u64);
+                    let mut base = PackedHdModel::new(classes, dim).unwrap();
+                    if trained_base {
+                        let (batch, _, labels) = labelled_batch(&mut rng, 30, dim, classes);
+                        base.one_shot_train(&batch, &labels).unwrap();
+                    }
+                    let (batch, rows, labels) = labelled_batch(&mut rng, 30, dim, classes);
+
+                    let mut full = base.clone();
+                    let mut reference = ReferenceHdModel {
+                        protos: base.protos().to_vec(),
+                        num_classes: classes,
+                        dim,
+                    };
+                    let mut copy = PackedClientModel::of(&base);
+                    // The classes some learner step accumulates into.
+                    let mut written = vec![false; classes];
+                    if !trained_base {
+                        full.one_shot_train(&batch, &labels).unwrap();
+                        reference.one_shot_train(&rows, &labels);
+                        copy.one_shot_train(&base, &batch, &labels).unwrap();
+                        for &label in &labels {
+                            written[label] = true;
+                        }
+                    }
+                    for epoch in 0..3 {
+                        // The reference epoch a sample at a time, to see
+                        // which classes each of its updates writes.
+                        let mut reference_updates = 0;
+                        for (row, &label) in rows.iter().zip(&labels) {
+                            let pred = reference.predict(row);
+                            if reference.refine_epoch(std::slice::from_ref(row), &[label]) == 1 {
+                                written[pred] = true;
+                                written[label] = true;
+                                reference_updates += 1;
+                            }
+                        }
+                        let full_updates = full.refine_epoch(&batch, &labels).unwrap();
+                        let copy_updates = copy.refine_epoch(&base, &batch, &labels).unwrap();
+                        assert_eq!(copy_updates, full_updates, "{case} epoch {epoch}");
+                        assert_eq!(copy_updates, reference_updates, "{case} epoch {epoch}");
+                        assert_eq!(full.protos(), reference.protos, "{case} epoch {epoch}");
+                        let stride = words_for(dim);
+                        for (c, &written) in written.iter().enumerate() {
+                            let counters = &full.protos()[c * dim..(c + 1) * dim];
+                            let signs = &copy.packed[c * stride..(c + 1) * stride];
+                            assert_eq!(
+                                signs,
+                                full.packed_row(c),
+                                "{case} epoch {epoch}: sign words of class {c}"
+                            );
+                            assert_eq!(signs, pack_signs_i32(counters));
+                            // Unwritten classes hold no counters at all.
+                            assert_eq!(
+                                copy.counters[c],
+                                if written { counters } else { &[] },
+                                "{case} epoch {epoch}: class {c} written: {written}"
+                            );
+                        }
+                    }
+                    let mut wire = Vec::new();
+                    for c in 0..classes {
+                        wire.extend_from_slice(full.packed_row(c));
+                    }
+                    assert_eq!(copy.into_words(), wire, "{case}: the payload");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_client_that_mispredicts_nothing_copies_nothing() {
+        // Two opposite patterns, each recalled by its own class.
+        let dim = 100;
+        let mut data = vec![-1.0f32; 2 * dim];
+        for v in data.iter_mut().take(dim) {
+            *v = 1.0;
+        }
+        let batch = PackedBatch::from_rows(&data, 2, dim);
+        let mut base = PackedHdModel::new(2, dim).unwrap();
+        base.one_shot_train(&batch, &[0, 1]).unwrap();
+        let mut copy = PackedClientModel::of(&base);
+        assert_eq!(copy.refine_epoch(&base, &batch, &[0, 1]).unwrap(), 0);
+        assert_eq!(copy, PackedClientModel::of(&base));
+        // A mislabelled epoch writes both classes, from the base's counts.
+        let mut full = base.clone();
+        let updates = full.refine_epoch(&batch, &[1, 1]).unwrap();
+        assert!(updates > 0);
+        assert_eq!(copy.refine_epoch(&base, &batch, &[1, 1]).unwrap(), updates);
+        assert_eq!(copy.counters[0], full.protos()[..dim]);
+        assert_eq!(copy.counters[1], full.protos()[dim..]);
+    }
+
+    #[test]
+    fn client_copy_rejects_another_models_counters() {
+        let base = PackedHdModel::new(2, 64).unwrap();
+        let batch = PackedBatch::from_rows(&[1.0; 128], 2, 64);
+        let mut copy = PackedClientModel::of(&base);
+        for other in [
+            PackedHdModel::new(3, 64).unwrap(),
+            PackedHdModel::new(2, 65).unwrap(),
+        ] {
+            assert!(copy.one_shot_train(&other, &batch, &[0, 1]).is_err());
+            assert!(copy.refine_epoch(&other, &batch, &[0, 1]).is_err());
+        }
+        assert!(copy.refine_epoch(&base, &batch, &[0]).is_err());
+        assert!(copy.refine_epoch(&base, &batch, &[0, 2]).is_err());
+        assert_eq!(copy, PackedClientModel::of(&base), "errors write nothing");
+    }
+
+    #[test]
+    fn revote_row_is_a_fresh_models_fold_in_place() {
+        for dim in [1, 63, 64, 65, 1000, 10_000] {
+            let mut rng = StdRng::seed_from_u64(dim as u64);
+            let (classes, stride) = (3, words_for(dim));
+            let live = |w: usize| match (dim % WORD_BITS, w + 1 == stride) {
+                (pad, true) if pad > 0 => u64::MAX >> (WORD_BITS - pad),
+                _ => u64::MAX,
+            };
+            // Arrivals with no erasures, random ones, and all erased.
+            let arrivals: Vec<(Vec<u64>, Vec<u64>)> = [0, 1, u64::MAX]
+                .into_iter()
+                .map(|mask| {
+                    let mut row = || -> Vec<u64> {
+                        (0..classes * stride)
+                            .map(|w| rng.gen::<u64>() & live(w % stride))
+                            .collect()
+                    };
+                    let (words, noise) = (row(), row());
+                    let erased = noise.iter().map(|&n| if mask == 1 { n } else { mask });
+                    (words, erased.collect())
+                })
+                .collect();
+            let mut fresh = PackedHdModel::new(classes, dim).unwrap();
+            for (words, erased) in &arrivals {
+                for c in 0..classes {
+                    let row = c * stride..(c + 1) * stride;
+                    fresh.vote_row(c, &words[row.clone()], &erased[row]);
+                }
+            }
+            fresh.repack_all();
+            // A resident model holding an earlier round's counts.
+            let stale: Vec<i32> = (0..classes * dim).map(|_| rng.gen_range(-9..=9)).collect();
+            let mut resident = PackedHdModel::from_counts(stale, classes, dim).unwrap();
+            for c in 0..classes {
+                let row = c * stride..(c + 1) * stride;
+                let rows = arrivals
+                    .iter()
+                    .map(|(words, erased)| (&words[row.clone()], &erased[row.clone()]));
+                let votes = resident.revote_row(c, rows).to_vec();
+                assert_eq!(votes, fresh.protos()[c * dim..(c + 1) * dim], "dim {dim}");
+            }
+            assert_eq!(resident, fresh, "dim {dim}");
+            // No arrivals: the zero row, whose signs are all +1.
+            assert!(resident.revote_row(1, []).iter().all(|&v| v == 0));
+            let blank = PackedHdModel::new(classes, dim).unwrap();
+            assert_eq!(resident.packed_row(1), blank.packed_row(1));
+        }
+    }
+
+    #[test]
+    fn repacking_a_batch_in_place_equals_packing_it_fresh() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut kept = PackedBatch::default();
+        assert_eq!((kept.rows(), kept.dim()), (0, 0));
+        // Grows, shrinks, changes stride: stale words never show.
+        for (rows, dim) in [(4, 130), (4, 130), (9, 64), (2, 1), (3, 1000), (0, 7)] {
+            let data: Vec<f32> = (0..rows * dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let x = Tensor::from_vec(data, &[rows, dim]).unwrap();
+            kept.pack_tensor(&x).unwrap();
+            assert_eq!(
+                kept,
+                PackedBatch::from_tensor(&x).unwrap(),
+                "[{rows}, {dim}]"
+            );
+        }
+        let before = kept.clone();
+        assert!(kept.pack_tensor(&Tensor::zeros(&[2, 3, 4])).is_err());
+        assert_eq!(kept, before, "a rejected tensor leaves the batch alone");
     }
 
     #[test]

@@ -23,9 +23,16 @@
 //! 5. A **steady-state recorded round allocates nothing model-sized** that
 //!    the same round without a recorder does not: the health block's
 //!    baseline, client deltas and aggregate delta live in buffers kept
-//!    from round to round. Counted from the process-wide size-class
+//!    from round to round. A packed binary round allocates nothing
+//!    model-sized at all: its global lives as counters and sign words from
+//!    one round to the next. Counted from the process-wide size-class
 //!    histogram, which is exact while the file's lock is held.
+//! 6. A **steady-state packed round at the paper's scale** (26 classes,
+//!    d = 10 000, six participants) asks the allocator for about a tenth
+//!    of a model in total: sign words, erasure masks and the few class
+//!    rows refinement writes. Thread-local window, inline execution.
 
+use fhdnn::channel::packet::PacketLossChannel;
 use fhdnn::channel::NoiselessChannel;
 use fhdnn::datasets::features::FeatureSpec;
 use fhdnn::datasets::partition::Partition;
@@ -341,7 +348,13 @@ fn steady_state_recorded_round_allocates_nothing_model_sized() {
             model_sized_allocations() - before
         };
         let (bare, recorded) = (third_round(false), third_round(true));
-        assert!(bare > 0, "tracking is live");
+        if transport == HdTransport::Binary {
+            // The packed engine converts nothing per round: no cast of
+            // the global, no rebuilt integer model, no scratch vote.
+            assert_eq!(bare, 0, "fleet={fleet}: a bare packed round");
+        } else {
+            assert!(bare > 0, "tracking is live");
+        }
         assert_eq!(
             recorded,
             bare + excess,
@@ -349,4 +362,32 @@ fn steady_state_recorded_round_allocates_nothing_model_sized() {
              in a recorded round, {bare} in the same round without a recorder"
         );
     }
+}
+
+#[test]
+fn steady_state_packed_round_stays_inside_its_byte_budget() {
+    let _alone = alone();
+    const SHAPE: (usize, usize, usize) = (26, 10_000, 26);
+    const MODEL_BYTES: u64 = (SHAPE.0 * SHAPE.1 * 4) as u64;
+    let (mut fed, test) = federation(6, 5, HdTransport::Binary, SHAPE);
+    let channel = PacketLossChannel::new(0.1, 256).unwrap();
+    for _warm_up in 0..2 {
+        fed.run_round(&channel, &test).unwrap();
+    }
+    // One thread: the whole round runs inside this thread's window.
+    let mark = mem::thread_mark();
+    fed.run_round(&channel, &test).unwrap();
+    let delta = mark.delta();
+    assert!(delta.allocs > 0, "tracking is live");
+    // Per participant the 32.5 KB of sign words and as much erasure
+    // mask, plus 40 KB for each class row its refinement wrote; the
+    // round that cast the global to counters twice and gave every
+    // participant (and the vote, and the evaluation) an integer model of
+    // its own read 10.1 MB here.
+    assert!(
+        delta.alloc_bytes < 1_100_000,
+        "a steady-state packed round allocated {} B in {} blocks; a model is {MODEL_BYTES} B",
+        delta.alloc_bytes,
+        delta.allocs
+    );
 }
