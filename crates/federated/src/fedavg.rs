@@ -27,7 +27,7 @@ use rand::seq::SliceRandom;
 use crate::config::FlConfig;
 use crate::health::{elementwise_delta_into, norm_stats};
 use crate::metrics::{RoundMetrics, RunHistory};
-use crate::round::{driver_accessors, Algorithm, ModelHealth, RoundDriver, Uplink};
+use crate::round::{driver_accessors, Algorithm, FloatHealth, ModelHealth, RoundDriver, Uplink};
 use crate::{FedError, Result};
 
 /// Local optimizer settings used by every client.
@@ -86,6 +86,8 @@ struct FedAvg {
     averaged: Vec<f32>,
     /// The open aggregate; `None` until the round's first update folds.
     sums: Option<Sums>,
+    /// The divergence deltas of a recorded round.
+    float: FloatHealth,
 }
 
 /// Sample-weighted `f64` sums over the arrived updates, per coordinate.
@@ -131,6 +133,7 @@ impl Algorithm for FedAvg {
 
     fn begin_round(&mut self, round: usize, tel: &Recorder) -> Result<()> {
         (self.averaged, self.sums) = (Vec::new(), None);
+        self.float.begin_round(tel.enabled());
         {
             let _span = tel.span("round.broadcast");
             self.broadcast = self.global.flatten_params();
@@ -190,7 +193,10 @@ impl Algorithm for FedAvg {
         })
     }
 
-    fn fold(&mut self, client: usize, update: CnnUpdate) {
+    fn fold(&mut self, client: usize, update: CnnUpdate, slot: Option<usize>) {
+        if let Some(slot) = slot {
+            update.delta_into(&self.broadcast, self.float.slot(slot));
+        }
         let weight = self.clients[client].len() as f64;
         let sums = self.sums.get_or_insert_with(|| Sums {
             acc: vec![0.0; self.broadcast.len()],
@@ -266,30 +272,35 @@ impl Algorithm for FedAvg {
         })
     }
 
-    fn client_delta(&self, update: &CnnUpdate, out: &mut Vec<f32>) {
-        match &update.indices {
-            None => elementwise_delta_into(&update.payload, &self.broadcast, out),
-            Some(indices) => {
-                // Unsent coordinates contribute zero delta.
-                out.clear();
-                out.resize(self.broadcast.len(), 0.0);
-                for (&i, &u) in indices.iter().zip(&update.payload) {
-                    out[i] = u - self.broadcast[i];
-                }
-            }
-        }
-    }
-
     /// The CNN has no class prototypes, so the HD diagnostics degrade to
     /// whole-vector statistics (single norm, no saturation or margin).
-    fn health(&self) -> Result<ModelHealth<'_>> {
+    fn health(&mut self) -> Result<ModelHealth> {
+        let (sign_flip_rate, distances) = self.float.finish(&self.averaged, &self.broadcast);
         Ok(ModelHealth {
-            baseline: &self.broadcast,
-            params: &self.averaged,
             norms: norm_stats(&[fhdnn_hdc::health::l2_norm(&self.averaged)]),
             saturation: 0.0,
             cosine_margin: 1.0,
+            sign_flip_rate,
+            distances,
         })
+    }
+}
+
+impl CnnUpdate {
+    /// The update's delta from the round-start parameters `broadcast`,
+    /// written over `out`.
+    fn delta_into(&self, broadcast: &[f32], out: &mut Vec<f32>) {
+        match &self.indices {
+            None => elementwise_delta_into(&self.payload, broadcast, out),
+            Some(indices) => {
+                // Unsent coordinates contribute zero delta.
+                out.clear();
+                out.resize(broadcast.len(), 0.0);
+                for (&i, &u) in indices.iter().zip(&self.payload) {
+                    out[i] = u - broadcast[i];
+                }
+            }
+        }
     }
 }
 
@@ -325,6 +336,7 @@ impl CnnFederation {
             broadcast: Vec::new(),
             averaged: Vec::new(),
             sums: None,
+            float: FloatHealth::default(),
         };
         Ok(CnnFederation { driver, alg })
     }

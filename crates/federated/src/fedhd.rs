@@ -25,12 +25,14 @@
 
 use fhdnn_channel::lte::LteLink;
 use fhdnn_channel::Channel;
+use fhdnn_hdc::health::BinaryRoundHealth;
 use fhdnn_hdc::model::HdModel;
 use fhdnn_hdc::packed::{
-    pack_signs_i32, reference::ReferenceHdModel, words_for, PackedBatch, PackedClientModel,
-    PackedHdModel,
+    pack_signs_i32, reference::ReferenceHdModel, words_for, NarrowView, PackedBatch,
+    PackedClientModel, PackedHdModel,
 };
 use fhdnn_hdc::quantizer::{dequantize_into, quantize};
+use fhdnn_hdc::simd::NARROW_MAX;
 use fhdnn_telemetry::Recorder;
 use fhdnn_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -40,7 +42,9 @@ use crate::config::{FlConfig, HdExecution};
 use crate::cost::hd_refine_flops;
 use crate::health::{elementwise_delta_into, norm_stats, SATURATION_EPSILON};
 use crate::metrics::{RoundMetrics, RunHistory};
-use crate::round::{driver_accessors, Algorithm, ModelHealth, RoundDriver, Uplink};
+use crate::round::{
+    claim, driver_accessors, Algorithm, FloatHealth, ModelHealth, RoundDriver, Uplink,
+};
 use crate::{FedError, Result};
 
 /// How an HD model is serialized on the uplink.
@@ -132,7 +136,8 @@ pub struct HdFederation {
 #[derive(Debug)]
 enum HdEngine {
     Dense(Hd<Dense>),
-    Packed(Hd<Packed>),
+    /// Boxed: its integer health views make it the largest by far.
+    Packed(Box<Hd<Packed>>),
     Reference(Hd<Reference>),
 }
 
@@ -148,10 +153,17 @@ struct Hd<R: HdRule> {
     local_epochs: usize,
     rule: R,
     received: Vec<R::Update>,
+    /// Whether this round's health is the rule's own reading
+    /// ([`HdRule::own_health`]) of the arrivals `kept` names, not the
+    /// float one of `baseline` and `float`.
+    own_health: bool,
+    /// Per delta slot, the arrival in `received` it keeps.
+    kept: Vec<usize>,
     /// The round-start prototypes client deltas and the sign-flip rate
-    /// are measured against: refreshed in place under an enabled
-    /// recorder, empty without one.
+    /// are measured against: refreshed in place in a recorded round whose
+    /// health is read the float way, empty otherwise.
     baseline: Vec<f32>,
+    float: FloatHealth,
 }
 
 /// What differs between the HD rules.
@@ -161,8 +173,13 @@ trait HdRule: Sync {
     /// What reaches the server from one client.
     type Update: Send + Sync + std::fmt::Debug;
 
-    /// Fixes the form in which `global` is broadcast this round.
-    fn begin_round(&mut self, _global: &HdModel) {}
+    /// Fixes the form in which `global` is broadcast this round. A rule
+    /// that will read a `recorded` round's health off its own state
+    /// returns `true`: [`Hd`] then keeps the arrivals for
+    /// [`HdRule::own_health`] instead of a float baseline and deltas.
+    fn begin_round(&mut self, _global: &HdModel, _recorded: bool) -> bool {
+        false
+    }
     /// A client's copy of the broadcast model.
     fn broadcast(&self, global: &HdModel) -> Result<Self::Local>;
     /// `epochs` of local training on `client`'s `data`.
@@ -182,6 +199,17 @@ trait HdRule: Sync {
     fn aggregate(&mut self, received: &[Self::Update], global: &mut HdModel) -> Result<()>;
     /// Test accuracy of `global`.
     fn accuracy(&mut self, global: &HdModel, test: &HdClientData) -> Result<f32>;
+    /// After the vote of a round whose `begin_round` returned `true`: the
+    /// model's geometry, its sign-flip rate against the round's start and
+    /// the `kept` arrivals' distances from the aggregate delta, each bit
+    /// for bit what the float kernels give on [`HdRule::delta`]s. `None`
+    /// from a rule that never returns `true` there.
+    fn own_health(
+        &mut self,
+        _kept: &mut dyn Iterator<Item = &Self::Update>,
+    ) -> Option<BinaryRoundHealth> {
+        None
+    }
 }
 
 impl<R: HdRule> Hd<R> {
@@ -199,7 +227,10 @@ impl<R: HdRule> Hd<R> {
             local_epochs,
             rule,
             received: Vec::new(),
+            own_health: false,
+            kept: Vec::new(),
             baseline: Vec::new(),
+            float: FloatHealth::default(),
         }
     }
 }
@@ -237,17 +268,20 @@ impl<R: HdRule> Algorithm for Hd<R> {
     }
 
     fn begin_round(&mut self, _round: usize, tel: &Recorder) -> Result<()> {
-        // A pure read — the seeded RNG streams are untouched, so runs
+        // Pure reads — the seeded RNG streams are untouched, so runs
         // with and without a recorder stay identical.
+        self.own_health = self.rule.begin_round(&self.global, tel.enabled());
+        let float = tel.enabled() && !self.own_health;
+        self.float.begin_round(float);
         self.baseline.clear();
-        if tel.enabled() {
+        if float {
             self.baseline
                 .extend_from_slice(self.global.prototypes().as_slice());
         } else {
             self.baseline.shrink_to_fit();
         }
-        self.rule.begin_round(&self.global);
         self.received.clear();
+        self.kept.clear();
         Ok(())
     }
 
@@ -264,13 +298,21 @@ impl<R: HdRule> Algorithm for Hd<R> {
         self.rule.transmit(local, up)
     }
 
-    fn fold(&mut self, _client: usize, update: R::Update) {
+    fn fold(&mut self, _client: usize, update: R::Update, slot: Option<usize>) {
+        match slot {
+            Some(slot) if self.own_health => claim(&mut self.kept, slot, self.received.len()),
+            Some(slot) => R::delta(&update, &self.baseline, self.float.slot(slot)),
+            None => {}
+        }
         self.received.push(update);
     }
 
     fn finish_aggregate(&mut self) -> Result<()> {
         let done = self.rule.aggregate(&self.received, &mut self.global);
-        self.received.clear();
+        // The rule's own health reads the arrivals once more.
+        if !self.own_health {
+            self.received.clear();
+        }
         done
     }
 
@@ -278,11 +320,7 @@ impl<R: HdRule> Algorithm for Hd<R> {
         self.rule.accuracy(&self.global, test)
     }
 
-    fn client_delta(&self, update: &R::Update, out: &mut Vec<f32>) {
-        R::delta(update, &self.baseline, out);
-    }
-
-    fn health(&self) -> Result<ModelHealth<'_>> {
+    fn health(&mut self) -> Result<ModelHealth> {
         let saturation = match self.transport {
             HdTransport::Quantized { bitwidth } => {
                 fhdnn_hdc::health::saturation_fraction(&self.global, bitwidth, SATURATION_EPSILON)?
@@ -292,15 +330,25 @@ impl<R: HdRule> Algorithm for Hd<R> {
             // sign bits (saturation is meaningless).
             HdTransport::Float | HdTransport::Binary => 0.0,
         };
-        // One pass over the prototypes: every class's `Σx²` is taken once
-        // and serves its norm and all of its pairs.
-        let geometry = fhdnn_hdc::health::class_geometry(&self.global);
+        let mut kept = self.kept.iter().map(|&at| &self.received[at]);
+        let (geometry, sign_flip_rate, distances) = match self.rule.own_health(&mut kept) {
+            Some(read) => (read.geometry, read.sign_flip_rate as f64, read.distances),
+            None => {
+                // One pass over the prototypes: every class's `Σx²` is
+                // taken once and serves its norm and all of its pairs.
+                let geometry = fhdnn_hdc::health::class_geometry(&self.global);
+                let params = self.global.prototypes().as_slice();
+                let (sign_flip_rate, distances) = self.float.finish(params, &self.baseline);
+                (geometry, sign_flip_rate, distances)
+            }
+        };
+        self.received.clear();
         Ok(ModelHealth {
-            baseline: &self.baseline,
-            params: self.global.prototypes().as_slice(),
             norms: norm_stats(&geometry.norms),
             saturation,
             cosine_margin: geometry.cosine_margin as f64,
+            sign_flip_rate,
+            distances,
         })
     }
 }
@@ -540,13 +588,29 @@ struct Packed {
     /// The test set as last evaluated, re-packed every round over the
     /// same words.
     test: PackedBatch,
+    /// The published float view holds exactly the values of `model`'s
+    /// counters: from the first vote on, and before it if the initial
+    /// global was integral. Until then health is read off the float view,
+    /// fractions and all.
+    published_exact: bool,
+    /// Participants per round: no vote count can exceed it.
+    cohort: usize,
+    /// `model` as a recorded round began, and after its vote: the integer
+    /// view health is read off. Both empty without a recorder and in a
+    /// round that reads health the float way.
+    start: NarrowView,
+    voted: NarrowView,
 }
 
 impl HdRule for Packed {
     type Local = PackedClientModel;
     type Update = SignRows;
 
-    fn begin_round(&mut self, global: &HdModel) {
+    /// Health is read off the integer view when that view is the whole
+    /// truth and fits the `i16` kernels: the published model is the
+    /// counters, the counters narrow, and so will any count this round's
+    /// cohort can vote.
+    fn begin_round(&mut self, global: &HdModel, recorded: bool) -> bool {
         debug_assert!(
             global
                 .prototypes()
@@ -556,6 +620,14 @@ impl HdRule for Packed {
                 .all(|(&published, &resident)| published as i32 == resident),
             "the resident counters are the cast of the published global"
         );
+        let narrow = recorded
+            && self.published_exact
+            && self.cohort <= NARROW_MAX as usize
+            && self.model.narrow_into(&mut self.start);
+        if !narrow {
+            (self.start, self.voted) = Default::default();
+        }
+        narrow
     }
 
     fn broadcast(&self, _global: &HdModel) -> Result<PackedClientModel> {
@@ -604,6 +676,7 @@ impl HdRule for Packed {
             self.untrained &= votes.iter().all(|&v| v == 0);
             store_votes(published, votes);
         }
+        self.published_exact = true;
         Ok(())
     }
 
@@ -612,6 +685,26 @@ impl HdRule for Packed {
         // have changed it since the last one.
         self.test.pack_tensor(&test.hypervectors)?;
         Ok(self.model.accuracy(&self.test, &test.labels)? as f32)
+    }
+
+    fn own_health(
+        &mut self,
+        kept: &mut dyn Iterator<Item = &SignRows>,
+    ) -> Option<BinaryRoundHealth> {
+        if self.start.is_empty() {
+            return None;
+        }
+        let narrowed = self.model.narrow_into(&mut self.voted);
+        assert!(
+            narrowed,
+            "a vote count is at most the cohort, which narrows"
+        );
+        let arrivals = kept.map(|rows| (&rows.words[..], &rows.erased[..]));
+        Some(fhdnn_hdc::health::binary_round(
+            &self.voted,
+            &self.start,
+            arrivals,
+        ))
     }
 }
 
@@ -638,8 +731,9 @@ impl HdRule for Reference {
     type Local = ReferenceHdModel;
     type Update = SignRows;
 
-    fn begin_round(&mut self, global: &HdModel) {
+    fn begin_round(&mut self, global: &HdModel, _recorded: bool) -> bool {
         self.broadcast = Counters::of(global);
+        false
     }
 
     fn broadcast(&self, global: &HdModel) -> Result<ReferenceHdModel> {
@@ -765,6 +859,12 @@ impl HdFederation {
                 // or non-integer initial global enters exactly as a
                 // per-round cast would have read it.
                 let initial = Counters::of(&global);
+                // Whether that cast lost anything: a vote writes integers,
+                // a caller may have handed in fractions.
+                let published = global.prototypes().as_slice().iter();
+                let published_exact = published
+                    .zip(&initial.counts)
+                    .all(|(&v, &count)| v == count as f32);
                 let rule = Packed {
                     batches,
                     model: PackedHdModel::from_counts(
@@ -774,8 +874,12 @@ impl HdFederation {
                     )?,
                     untrained: initial.untrained,
                     test: PackedBatch::default(),
+                    published_exact,
+                    cohort: config.participants_per_round(),
+                    start: NarrowView::default(),
+                    voted: NarrowView::default(),
                 };
-                HdEngine::Packed(Hd::new(global, clients, transport, epochs, rule))
+                HdEngine::Packed(Box::new(Hd::new(global, clients, transport, epochs, rule)))
             }
             (HdTransport::Binary, HdExecution::Reference) => {
                 let vectors = clients
@@ -865,7 +969,7 @@ impl HdFederation {
     ) -> Result<RoundMetrics> {
         match &mut self.engine {
             HdEngine::Dense(hd) => self.driver.run_round(hd, channel, test),
-            HdEngine::Packed(hd) => self.driver.run_round(hd, channel, test),
+            HdEngine::Packed(hd) => self.driver.run_round(hd.as_mut(), channel, test),
             HdEngine::Reference(hd) => self.driver.run_round(hd, channel, test),
         }
     }
@@ -1255,6 +1359,149 @@ mod tests {
             let zero = global_bits(fed).iter().all(|&v| v == 0);
             assert_eq!(zero, round == 0, "after round {round}");
         });
+    }
+
+    /// Which way the packed federation read its last round's health, with
+    /// the state each way must leave behind: the integer view and no
+    /// float scratch, or the float baseline and no integer view — and
+    /// neither without a recorder.
+    fn health_reading(fed: &HdFederation) -> &'static str {
+        let HdEngine::Packed(hd) = &fed.engine else {
+            panic!("not the packed engine");
+        };
+        assert!(hd.received.is_empty(), "arrivals are dropped once read");
+        let views = (hd.rule.start.is_empty(), hd.rule.voted.is_empty());
+        match (hd.own_health, hd.baseline.is_empty()) {
+            (true, true) => {
+                assert_eq!(views, (false, false));
+                assert!(hd.float.is_empty(), "no float scratch");
+                "integer"
+            }
+            (false, false) => {
+                assert_eq!(views, (true, true));
+                "float"
+            }
+            (false, true) => {
+                assert_eq!(views, (true, true));
+                "none"
+            }
+            (true, false) => panic!("both a float baseline and an integer view"),
+        }
+    }
+
+    /// A packed federation over the shared clients, recorded, and the
+    /// way it read health in each of `stragglers.len()` rounds.
+    fn health_readings(initial: HdModel, stragglers: &[f64]) -> Vec<&'static str> {
+        let (clients, test, _) = encoded_clients(4, 12);
+        let cfg = config(4, stragglers.len());
+        let mut fed = HdFederation::new(initial, clients, cfg, HdTransport::Binary).unwrap();
+        fed.set_telemetry(Recorder::in_memory());
+        let lossy = PacketLossChannel::new(0.1, 256).unwrap();
+        let read = |fed: &mut HdFederation, prob: f64| {
+            fed.set_straggler_prob(prob).unwrap();
+            fed.run_round(&lossy, &test).unwrap();
+            health_reading(fed)
+        };
+        let readings = stragglers.iter().map(|&p| read(&mut fed, p)).collect();
+        // Without a recorder nothing is kept, whatever was before.
+        fed.set_telemetry(Recorder::disabled());
+        assert_eq!(read(&mut fed, 0.0), "none");
+        readings
+    }
+
+    #[test]
+    fn packed_reads_health_off_the_integer_view_when_it_is_the_whole_truth() {
+        let nobody = 1.0 - 1e-12;
+        let blank = HdModel::new(5, DIM).unwrap();
+        assert_eq!(
+            health_readings(blank.clone(), &[0.0, nobody, 0.3]),
+            ["integer"; 3]
+        );
+        // Fractions stay published until a vote replaces them, and the
+        // round of that vote still measures against them.
+        let mut fractional = blank.clone();
+        for (i, v) in fractional
+            .prototypes_mut()
+            .as_mut_slice()
+            .iter_mut()
+            .enumerate()
+        {
+            *v = [0.5, -0.5, 1.75, -2.25, -0.0, 3.0][i % 6];
+        }
+        assert_eq!(
+            health_readings(fractional, &[nobody, 0.0, 0.0]),
+            ["float", "float", "integer"]
+        );
+        // Integers throughout, but the round that starts from counts the
+        // `i16` kernels do not take reads the float way.
+        let mut wide = blank.clone();
+        for (i, v) in wide.prototypes_mut().as_mut_slice().iter_mut().enumerate() {
+            *v = [1024.0, -5000.0, 0.0][i % 3];
+        }
+        assert_eq!(
+            health_readings(wide, &[nobody, 0.0, 0.0]),
+            ["float", "float", "integer"]
+        );
+        // The widest counts the kernels do take, and a negative zero.
+        let mut edge = blank;
+        for (i, v) in edge.prototypes_mut().as_mut_slice().iter_mut().enumerate() {
+            *v = [1023.0, -1023.0, -0.0][i % 3];
+        }
+        assert_eq!(health_readings(edge, &[nobody, 0.0]), ["integer"; 2]);
+    }
+
+    #[test]
+    fn a_cohort_that_could_outvote_the_narrow_range_reads_health_the_float_way() {
+        use fhdnn_telemetry::sink::MemorySink;
+        use std::sync::Arc;
+        // One more participant than a narrowed vote count can hold, every
+        // one of them sending the same row: the count does not narrow.
+        let cohort = NARROW_MAX as usize + 1;
+        let dim = 64;
+        let data = HdClientData {
+            hypervectors: Tensor::from_vec(vec![1.0; dim], &[1, dim]).unwrap(),
+            labels: vec![0],
+        };
+        let run = |num_clients: usize, execution: HdExecution| {
+            let cfg = FlConfig {
+                num_clients,
+                client_fraction: 1.0,
+                execution,
+                ..config(num_clients, 2)
+            };
+            let clients = vec![data.clone(); num_clients];
+            let global = HdModel::new(2, dim).unwrap();
+            let mut fed = HdFederation::new(global, clients, cfg, HdTransport::Binary).unwrap();
+            let sink = Arc::new(MemorySink::new());
+            fed.set_telemetry(Recorder::with_sink(sink.clone()));
+            let mut readings = Vec::new();
+            for _ in 0..2 {
+                fed.run_round(&NoiselessChannel::new(), &data).unwrap();
+                if execution == HdExecution::Packed {
+                    readings.push(health_reading(&fed));
+                }
+            }
+            let votes = fed.global().prototypes().as_slice()[0];
+            let health: Vec<String> = sink
+                .events()
+                .iter()
+                .filter(|e| e.name == "health.round")
+                .map(|e| {
+                    let mut fields = e.fields.clone();
+                    fields.retain(|key, _| !key.starts_with("mem_"));
+                    format!("{fields:?}")
+                })
+                .collect();
+            (readings, votes, health)
+        };
+        let (readings, votes, health) = run(cohort, HdExecution::Packed);
+        assert_eq!(readings, ["float"; 2]);
+        assert_eq!(votes, cohort as f32);
+        assert_eq!(health, run(cohort, HdExecution::Reference).2);
+        let (readings, votes, health) = run(cohort - 1, HdExecution::Packed);
+        assert_eq!(readings, ["integer"; 2]);
+        assert_eq!(votes, NARROW_MAX as f32);
+        assert_eq!(health, run(cohort - 1, HdExecution::Reference).2);
     }
 
     #[test]

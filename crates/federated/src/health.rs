@@ -290,9 +290,9 @@ pub struct DivergenceSummary {
 
 /// Scores each arrived client's update against the aggregate: cosine
 /// distance of `delta_i = update_i − broadcast` from
-/// `aggregate_delta = new_global − broadcast`, then z-scores across the
-/// round's clients. `client_ids[i]` labels `deltas[i]` in the outlier
-/// list. Fewer than two clients cannot have outliers (no population).
+/// `aggregate_delta = new_global − broadcast`, then
+/// [`DivergenceSummary::from_distances`]. `client_ids[i]` labels
+/// `deltas[i]` in the outlier list.
 ///
 /// The aggregate's `‖Δ‖²` is taken once and the clients' chains run side
 /// by side against it ([`fhdnn_hdc::health::cosine_distances`]); every
@@ -304,42 +304,53 @@ pub fn divergence_summary(
     client_ids: &[usize],
 ) -> DivergenceSummary {
     let distances = fhdnn_hdc::health::cosine_distances(deltas, aggregate_delta);
-    if distances.is_empty() {
-        return DivergenceSummary::default();
-    }
-    let id_of = |i: usize| client_ids.get(i).copied().unwrap_or(i) as u64;
-    let labeled: Vec<(u64, f64)> = distances
-        .iter()
-        .enumerate()
-        .map(|(i, &d)| (id_of(i), d as f64))
-        .collect();
-    let mean = distances.iter().map(|&d| d as f64).sum::<f64>() / distances.len() as f64;
-    if distances.len() < 2 {
-        return DivergenceSummary {
+    DivergenceSummary::from_distances(&distances, client_ids)
+}
+
+impl DivergenceSummary {
+    /// The summary of a round whose clients' deltas lie at `distances`
+    /// from the aggregate delta: their mean and z-scores across the
+    /// round's clients. `client_ids[i]` labels `distances[i]` in the
+    /// outlier list. Fewer than two clients cannot have outliers (no
+    /// population).
+    pub fn from_distances(distances: &[f32], client_ids: &[usize]) -> DivergenceSummary {
+        if distances.is_empty() {
+            return DivergenceSummary::default();
+        }
+        let id_of = |i: usize| client_ids.get(i).copied().unwrap_or(i) as u64;
+        let labeled: Vec<(u64, f64)> = distances
+            .iter()
+            .enumerate()
+            .map(|(i, &d)| (id_of(i), d as f64))
+            .collect();
+        let mean = distances.iter().map(|&d| d as f64).sum::<f64>() / distances.len() as f64;
+        if distances.len() < 2 {
+            return DivergenceSummary {
+                mean,
+                distances: labeled,
+                ..DivergenceSummary::default()
+            };
+        }
+        let z = zscores(distances);
+        let max_abs_z = z.iter().map(|v| v.abs() as f64).fold(0.0, f64::max);
+        let outliers = z
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.abs() >= OUTLIER_Z)
+            .map(|(i, _)| id_of(i))
+            .collect();
+        let scores = z
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (id_of(i), v.abs() as f64))
+            .collect();
+        DivergenceSummary {
             mean,
+            max_abs_z,
+            outliers,
             distances: labeled,
-            ..DivergenceSummary::default()
-        };
-    }
-    let z = zscores(&distances);
-    let max_abs_z = z.iter().map(|v| v.abs() as f64).fold(0.0, f64::max);
-    let outliers = z
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.abs() >= OUTLIER_Z)
-        .map(|(i, _)| id_of(i))
-        .collect();
-    let scores = z
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (id_of(i), v.abs() as f64))
-        .collect();
-    DivergenceSummary {
-        mean,
-        max_abs_z,
-        outliers,
-        distances: labeled,
-        scores,
+            scores,
+        }
     }
 }
 

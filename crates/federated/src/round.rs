@@ -24,7 +24,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use crate::config::FlConfig;
 use crate::cost::DeviceProfile;
 use crate::health::{
-    divergence_summary, HealthRecord, RoundSketches, FLEET_DIVERGENCE_SAMPLE, FLEET_MAX_OUTLIERS,
+    DivergenceSummary, HealthRecord, RoundSketches, FLEET_DIVERGENCE_SAMPLE, FLEET_MAX_OUTLIERS,
 };
 use crate::metrics::RoundMetrics;
 use crate::parallel::{resolve_threads, run_tasks_traced, split_seed};
@@ -43,20 +43,84 @@ pub(crate) struct Uplink<'a> {
     pub buf: &'a mut TaskBuffer,
 }
 
-/// Model-shape diagnostics of the freshly aggregated global model, as
-/// they land in a [`HealthRecord`].
-pub(crate) struct ModelHealth<'a> {
-    /// The round-start parameters divergence is measured against (as
-    /// taken by `begin_round` under an enabled recorder).
-    pub baseline: &'a [f32],
-    /// The current global parameters, flattened like the baseline.
-    pub params: &'a [f32],
+/// The model-sized diagnostics of a round, finished: the freshly
+/// aggregated global model against the one the round began with, as they
+/// land in a [`HealthRecord`].
+pub(crate) struct ModelHealth {
     /// `(min, max, mean)` of the model's row norms.
     pub norms: (f64, f64, f64),
     /// Fraction of counters near the quantizer's clip level.
     pub saturation: f64,
     /// Smallest pairwise class separation (1.0 when there are no classes).
     pub cosine_margin: f64,
+    /// Fraction of parameters whose sign the round flipped.
+    pub sign_flip_rate: f64,
+    /// Per delta slot filled this round, the cosine distance of that
+    /// update's delta from the aggregate delta.
+    pub distances: Vec<f32>,
+}
+
+/// The float form of the divergence diagnostics, which any algorithm can
+/// hold and call: one `f32` delta per slot and the aggregate delta, in
+/// model-sized buffers kept from round to round so that a steady-state
+/// recorded round allocates none of them. Empty until a round runs under
+/// an enabled recorder, and dropped again by the first round that does
+/// not.
+#[derive(Debug, Default)]
+pub(crate) struct FloatHealth {
+    /// One buffer per delta slot any round has filled; this round's
+    /// deltas are the first `filled` of them.
+    deltas: Vec<Vec<f32>>,
+    filled: usize,
+    /// New global minus round-start baseline.
+    aggregate_delta: Vec<f32>,
+}
+
+impl FloatHealth {
+    /// Opens a round: no slot filled yet under a recorder, nothing kept
+    /// without one.
+    pub(crate) fn begin_round(&mut self, recorded: bool) {
+        if recorded {
+            self.filled = 0;
+        } else {
+            *self = FloatHealth::default();
+        }
+    }
+
+    /// The buffer of delta slot `slot`, for the caller to write an
+    /// update's delta from the round-start baseline over whatever it
+    /// held, this round or an earlier one. Slots arrive as
+    /// [`Algorithm::fold`] is handed them.
+    pub(crate) fn slot(&mut self, slot: usize) -> &mut Vec<f32> {
+        if slot == self.filled {
+            self.filled += 1;
+            if self.deltas.len() < self.filled {
+                self.deltas.push(Vec::new());
+            }
+        }
+        &mut self.deltas[slot]
+    }
+
+    /// Whether no buffer is held: no recorded round has used this since
+    /// the last unrecorded one.
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.deltas.is_empty() && self.aggregate_delta.capacity() == 0
+    }
+
+    /// Closes the round: the sign-flip rate of `params` against
+    /// `baseline` and, per filled slot, its delta's cosine distance from
+    /// `params − baseline` — the last two fields of a [`ModelHealth`].
+    pub(crate) fn finish(&mut self, params: &[f32], baseline: &[f32]) -> (f64, Vec<f32>) {
+        let sign_flip_rate = fhdnn_hdc::health::delta_and_sign_flip_rate(
+            params,
+            baseline,
+            &mut self.aggregate_delta,
+        );
+        let deltas = &self.deltas[..self.filled];
+        let distances = fhdnn_hdc::health::cosine_distances(deltas, &self.aggregate_delta);
+        (sign_flip_rate as f64, distances)
+    }
 }
 
 /// One local-update / aggregation rule, driven by [`RoundDriver`].
@@ -101,22 +165,25 @@ pub(crate) trait Algorithm: Sync {
     /// Worker: serializes the update and pushes it through the uplink.
     fn transmit(&self, local: Self::Local, up: &mut Uplink<'_>) -> Result<Self::Update>;
 
-    /// Barrier: absorbs one arrived update.
-    fn fold(&mut self, client: usize, update: Self::Update);
+    /// Barrier: absorbs one arrived update. `slot`, given only when
+    /// `begin_round` saw an enabled recorder and only to the updates the
+    /// driver's sampler keeps, is the delta slot whose distance
+    /// [`Algorithm::health`] will report for this update: slots come in
+    /// fill order first (`0`, `1`, …) and then name filled ones to
+    /// replace.
+    fn fold(&mut self, client: usize, update: Self::Update, slot: Option<usize>);
     /// Barrier: turns the folded updates into the new global model. Not
     /// called when nothing arrived — the previous model stands.
     fn finish_aggregate(&mut self) -> Result<()>;
     /// Test-set accuracy of the current global model.
     fn evaluate(&mut self, test: &Self::Test) -> Result<f32>;
 
-    /// One update's delta from the round-start baseline, in the update's
-    /// wire view, written over `out` (a buffer the driver keeps from
-    /// round to round). Only called when `begin_round` saw an enabled
-    /// recorder.
-    fn client_delta(&self, update: &Self::Update, out: &mut Vec<f32>);
-    /// Diagnostics of the current global model against the baseline;
-    /// same condition as [`Algorithm::client_delta`].
-    fn health(&self) -> Result<ModelHealth<'_>>;
+    /// Diagnostics of the current global model against the one the round
+    /// began with, and of the updates `fold` was given a slot for against
+    /// the aggregate — each delta in the update's wire view. Only called
+    /// when `begin_round` saw an enabled recorder. [`FloatHealth`] is the
+    /// float way to the last two fields.
+    fn health(&mut self) -> Result<ModelHealth>;
 }
 
 /// Which arrived clients get a materialized divergence delta — each one
@@ -159,37 +226,13 @@ impl DeltaSlots {
     }
 }
 
-/// The model-sized buffers of the health block, kept from round to round
-/// so that a steady-state recorded round allocates none of them. Empty
-/// until a round runs under an enabled recorder, and dropped again by the
-/// first round that does not.
-#[derive(Debug, Default)]
-struct HealthScratch {
-    /// One buffer per delta slot any round has filled; this round's
-    /// divergence deltas are the first `delta_ids.len()` of them.
-    deltas: Vec<Vec<f32>>,
-    /// The client behind each of this round's deltas.
-    delta_ids: Vec<usize>,
-    /// New global minus round-start baseline.
-    aggregate_delta: Vec<f32>,
-}
-
-impl HealthScratch {
-    /// Hands delta slot `slot` to `client` and returns its buffer: slots
-    /// arrive in fill order first, then name existing entries to replace
-    /// — exactly the contract of [`Reservoir::offer`] — and either way
-    /// what the buffer held, this round or an earlier one, is written
-    /// over in place.
-    fn claim(&mut self, slot: usize, client: usize) -> &mut Vec<f32> {
-        if slot == self.delta_ids.len() {
-            self.delta_ids.push(client);
-            if self.deltas.len() < self.delta_ids.len() {
-                self.deltas.push(Vec::new());
-            }
-        } else {
-            self.delta_ids[slot] = client;
-        }
-        &mut self.deltas[slot]
+/// Puts `value` in delta slot `slot` of this round's `slots`: slots
+/// arrive in fill order first, then name filled ones to replace — the
+/// contract of [`Reservoir::offer`].
+pub(crate) fn claim<T>(slots: &mut Vec<T>, slot: usize, value: T) {
+    match slots.get_mut(slot) {
+        Some(filled) => *filled = value,
+        None => slots.push(value),
     }
 }
 
@@ -266,7 +309,8 @@ pub(crate) struct RoundDriver {
     alerts: AlertEngine,
     pub(crate) fleet_telemetry: bool,
     cohort: DistinctEstimator,
-    health_scratch: HealthScratch,
+    /// The client behind each delta slot of the round in progress.
+    delta_ids: Vec<usize>,
 }
 
 impl RoundDriver {
@@ -294,7 +338,7 @@ impl RoundDriver {
             alerts: AlertEngine::default(),
             fleet_telemetry: false,
             cohort: DistinctEstimator::new(),
-            health_scratch: HealthScratch::default(),
+            delta_ids: Vec::new(),
         })
     }
 
@@ -376,11 +420,7 @@ impl RoundDriver {
         // computes anyway, gated on an enabled recorder so uninstrumented
         // runs pay nothing and the seeded streams never notice.
         let mut slots = DeltaSlots::new(tel.enabled(), self.fleet_telemetry, round_seed);
-        if tel.enabled() {
-            self.health_scratch.delta_ids.clear();
-        } else {
-            self.health_scratch = HealthScratch::default();
-        }
+        self.delta_ids.clear();
         // One constant-size sketch set absorbs a per-client observation
         // at each fold step, in the same fixed participant order; it is
         // also what marks the round as recorded from here on.
@@ -421,12 +461,13 @@ impl RoundDriver {
             });
             if let Some(update) = outcome.update {
                 arrived += 1;
-                // Decided before computing the delta, so skipped clients
-                // never materialize one.
-                if let Some(slot) = slots.offer(self.health_scratch.delta_ids.len()) {
-                    alg.client_delta(&update, self.health_scratch.claim(slot, client));
+                // Decided before the fold, so skipped clients never
+                // materialize a delta.
+                let slot = slots.offer(self.delta_ids.len());
+                if let Some(slot) = slot {
+                    claim(&mut self.delta_ids, slot, client);
                 }
-                alg.fold(client, update);
+                alg.fold(client, update, slot);
             }
         }
         // If every participant straggled, the previous global model stands.
@@ -494,14 +535,7 @@ impl RoundDriver {
             // Flight record: model diagnostics on the new global,
             // client-divergence outliers, channel-damage attribution.
             let health = alg.health()?;
-            let scratch = &mut self.health_scratch;
-            let sign_flip_rate = fhdnn_hdc::health::delta_and_sign_flip_rate(
-                health.params,
-                health.baseline,
-                &mut scratch.aggregate_delta,
-            );
-            let deltas = &scratch.deltas[..scratch.delta_ids.len()];
-            let mut div = divergence_summary(deltas, &scratch.aggregate_delta, &scratch.delta_ids);
+            let mut div = DivergenceSummary::from_distances(&health.distances, &self.delta_ids);
             sketches.absorb_divergence(&div);
             if self.fleet_telemetry {
                 div.outliers.truncate(FLEET_MAX_OUTLIERS);
@@ -518,7 +552,7 @@ impl RoundDriver {
                 norm_mean,
                 saturation: health.saturation,
                 cosine_margin: health.cosine_margin,
-                sign_flip_rate: sign_flip_rate as f64,
+                sign_flip_rate: health.sign_flip_rate,
                 mean_divergence: div.mean,
                 max_abs_z: div.max_abs_z,
                 outlier_clients: div.outliers,
@@ -675,6 +709,7 @@ mod tests {
         main_log: Vec<&'static str>,
         baseline: Vec<f32>,
         params: Vec<f32>,
+        float: FloatHealth,
     }
 
     impl Toy {
@@ -707,7 +742,8 @@ mod tests {
         fn client_flops(&self, client: usize) -> u64 {
             1_000_000 * (client as u64 + 1)
         }
-        fn begin_round(&mut self, _round: usize, _tel: &Recorder) -> Result<()> {
+        fn begin_round(&mut self, _round: usize, tel: &Recorder) -> Result<()> {
+            self.float.begin_round(tel.enabled());
             self.main_log = vec!["begin_round"];
             self.worker_log.lock().unwrap().clear();
             self.folded.clear();
@@ -735,8 +771,13 @@ mod tests {
                 .transmit_f32_stats(&mut payload, up.rng, up.stats);
             Ok(local)
         }
-        fn fold(&mut self, client: usize, update: (usize, u64)) {
+        fn fold(&mut self, client: usize, update: (usize, u64), slot: Option<usize>) {
             assert_eq!(client, update.0, "the driver labels updates by sender");
+            if let Some(slot) = slot {
+                let delta = self.float.slot(slot);
+                delta.clear();
+                delta.push((update.1 % 7) as f32);
+            }
             self.main_log.push("fold");
             self.folded.push(update);
         }
@@ -750,17 +791,14 @@ mod tests {
             self.params = vec![self.model.len() as f32];
             Ok(self.model.len() as f32 / 16.0)
         }
-        fn client_delta(&self, update: &(usize, u64), out: &mut Vec<f32>) {
-            out.clear();
-            out.push((update.1 % 7) as f32);
-        }
-        fn health(&self) -> Result<ModelHealth<'_>> {
+        fn health(&mut self) -> Result<ModelHealth> {
+            let (sign_flip_rate, distances) = self.float.finish(&self.params, &self.baseline);
             Ok(ModelHealth {
-                baseline: &self.baseline,
-                params: &self.params,
                 norms: (1.0, 1.0, 1.0),
                 saturation: 0.0,
                 cosine_margin: 1.0,
+                sign_flip_rate,
+                distances,
             })
         }
     }
@@ -917,7 +955,8 @@ mod tests {
                 driver
                     .run_round(&mut toy, &NoiselessChannel::new(), &())
                     .unwrap();
-                let scratch = &driver.health_scratch;
+                assert_eq!(driver.delta_ids.len(), toy.float.filled);
+                let scratch = &toy.float;
                 let buffers = scratch.deltas.iter().map(|delta| delta.as_ptr());
                 (
                     buffers.collect::<Vec<_>>(),

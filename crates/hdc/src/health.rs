@@ -43,7 +43,9 @@
 //! depends on how many chains share a block (DESIGN.md §15).
 
 use crate::model::HdModel;
+use crate::packed::{words_for, NarrowView, WORD_BITS};
 use crate::quantizer::quantize;
+use crate::simd::{dot_i16, signed_sums_i16};
 use crate::Result;
 
 /// Side of the square register tile of [`accumulate_tile`]: `TILE × TILE`
@@ -311,7 +313,14 @@ fn geometry_of(rows: &[f32], k: usize, d: usize) -> ClassGeometry {
             }
         }
     }
-    let sum = |i: usize, j: usize| tiles[i / TILE * side + j / TILE][i % TILE][j % TILE];
+    geometry_from_sums(k, |i, j| {
+        tiles[i / TILE * side + j / TILE][i % TILE][j % TILE]
+    })
+}
+
+/// [`ClassGeometry`] of `k` rows from their pair sums:
+/// `sum(i, j) = Σ_q rᵢ[q]·rⱼ[q]` for `j ≥ i`.
+fn geometry_from_sums(k: usize, sum: impl Fn(usize, usize) -> f64) -> ClassGeometry {
     let squares: Vec<f64> = (0..k).map(|i| sum(i, i)).collect();
     // `min` ignores a NaN distance, as the pairwise fold always has.
     let mut margin = if k < 2 { 1.0 } else { f32::INFINITY };
@@ -407,6 +416,113 @@ pub fn sign_flip_rate(current: &HdModel, previous: &HdModel) -> Result<f32> {
         current.prototypes().as_slice(),
         previous.prototypes().as_slice(),
     ))
+}
+
+/// What a recorded round of the binary engine reports of its model, read
+/// off the integer view by [`binary_round`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct BinaryRoundHealth {
+    /// [`class_geometry`] of the model after the vote.
+    pub geometry: ClassGeometry,
+    /// [`sign_flip_rate`] of the model after the vote against the one
+    /// the round began with.
+    pub sign_flip_rate: f32,
+    /// Per arrival, the [`cosine_distance`] of its delta (wire view minus
+    /// round-start model) from the aggregate delta (model after the vote
+    /// minus round-start model).
+    pub distances: Vec<f32>,
+}
+
+/// Dimensions a received row of `dim` lost in transit: the set bits of
+/// its erasure mask, whatever the pad bits of the last word hold.
+fn erased_dims(erased: &[u64], dim: usize) -> u64 {
+    let Some((&last, full)) = erased.split_last() else {
+        return 0;
+    };
+    let pad = erased.len() * WORD_BITS - dim;
+    let full: u64 = full.iter().map(|word| u64::from(word.count_ones())).sum();
+    full + u64::from((last & (u64::MAX >> pad)).count_ones())
+}
+
+/// The model-sized fields of a binary round's health record without a
+/// float in sight: `now` is the global model after the vote, `start` the
+/// one the round began with, and each arrival the `(sign words, erasure
+/// mask)` of one received update, class rows one after another as
+/// [`NarrowView`] lays them out.
+///
+/// Every field is bit for bit what the float kernels of this module give
+/// on the models' float views — counters cast to `f32`, an arrival read
+/// as `+1.0` / `−1.0` per sign bit and `0.0` where erased. Each of their
+/// `f64` chains sums integers (products of counters and view values no
+/// larger than [`NARROW_MAX`](crate::simd::NARROW_MAX)), so every partial
+/// sum is an integer below 2⁵³, no step rounds, and the chain ends on the
+/// exact integer sum — which the `i16` kernels of [`crate::simd`] reach
+/// directly. With `c` the counters now, `b` at the start, `g = c − b` and
+/// `v` an arrival's view:
+///
+/// * norms and margin come from the pair dots `Σ cᵢ·cⱼ`;
+/// * a sign flipped where the sign words differ;
+/// * `‖g‖² = Σc² − 2·Σb·c + Σb²`, once;
+/// * per arrival `Σ(v−b)·g = (Σv·c − Σv·b) − (Σb·c − Σb²)` and
+///   `‖v−b‖² = live − 2·Σv·b + Σb²`, where `live` counts the dimensions
+///   that arrived — two signed sums and a popcount.
+///
+/// # Panics
+///
+/// If a view is empty, or the views or an arrival differ in shape.
+pub fn binary_round<'a>(
+    now: &NarrowView,
+    start: &NarrowView,
+    arrivals: impl IntoIterator<Item = (&'a [u64], &'a [u64])>,
+) -> BinaryRoundHealth {
+    let (c, b, d) = (now.counts(), start.counts(), now.dim());
+    assert!(
+        !c.is_empty() && c.len() == b.len() && d == start.dim(),
+        "views of {} and {} counters, {d} and {} wide",
+        c.len(),
+        b.len(),
+        start.dim()
+    );
+    let k = c.len() / d;
+    let mut dots = vec![0i64; k * k];
+    for (i, row) in c.chunks_exact(d).enumerate() {
+        for (j, other) in c.chunks_exact(d).enumerate().skip(i) {
+            dots[i * k + j] = dot_i16(row, other);
+        }
+    }
+    let geometry = geometry_from_sums(k, |i, j| dots[i * k + j] as f64);
+    let flips = crate::packed::hamming(now.signs(), start.signs());
+
+    let cc: i64 = (0..k).map(|i| dots[i * k + i]).sum();
+    let (bc, bb) = (dot_i16(b, c), dot_i16(b, b));
+    let aggregate_square = cc - 2 * bc + bb;
+    let stride = words_for(d);
+    let distances = arrivals.into_iter().map(|(words, erased)| {
+        assert!(
+            words.len() == k * stride && erased.len() == k * stride,
+            "an arrival of {} sign and {} erasure words for {k} rows of {stride}",
+            words.len(),
+            erased.len()
+        );
+        let wire = words.chunks_exact(stride).zip(erased.chunks_exact(stride));
+        let rows = c.chunks_exact(d).zip(b.chunks_exact(d));
+        let (mut vc, mut vb, mut lost) = (0i64, 0i64, 0u64);
+        for ((c_row, b_row), (words, erased)) in rows.zip(wire) {
+            let (row_vc, row_vb) = signed_sums_i16(c_row, b_row, words, erased);
+            vc += row_vc;
+            vb += row_vb;
+            lost += erased_dims(erased, d);
+        }
+        let live = c.len() as i64 - lost as i64;
+        let dot = (vc - vb) - (bc - bb);
+        let square = live - 2 * vb + bb;
+        distance_from(dot as f64, square as f64, aggregate_square as f64)
+    });
+    BinaryRoundHealth {
+        distances: distances.collect(),
+        geometry,
+        sign_flip_rate: flips as f32 / c.len() as f32,
+    }
 }
 
 #[cfg(test)]
@@ -656,6 +772,140 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The float views `binary_round` is specified against: counters
+    /// cast to `f32`, an arrival one `±1.0` per sign bit, `0.0` if erased.
+    fn float_view(counts: &[i32]) -> Vec<f32> {
+        counts.iter().map(|&count| count as f32).collect()
+    }
+
+    fn wire_view(words: &[u64], erased: &[u64], k: usize, d: usize) -> Vec<f32> {
+        let stride = words_for(d);
+        let mut view = Vec::with_capacity(k * d);
+        for class in 0..k {
+            for i in 0..d {
+                let (w, bit) = (class * stride + i / WORD_BITS, i % WORD_BITS);
+                view.push(if erased[w] >> bit & 1 == 1 {
+                    0.0
+                } else if words[w] >> bit & 1 == 1 {
+                    1.0
+                } else {
+                    -1.0
+                });
+            }
+        }
+        view
+    }
+
+    #[test]
+    fn binary_round_is_bit_identical_to_the_float_kernels() {
+        use crate::packed::PackedHdModel;
+        use crate::simd::NARROW_MAX;
+        let mut values = Values(0xA076_1D64_78BD_642F);
+        let max = i32::from(NARROW_MAX);
+        for (k, d) in [
+            (1, 1),
+            (2, 15),
+            (3, 16),
+            (5, 63),
+            (26, 64),
+            (5, 65),
+            (26, 1000),
+            (26, 10_000),
+        ] {
+            // Vote-sized counts, counts over the whole narrow range with
+            // both ends present, and a model nothing has voted on.
+            for spread in [3, max, 0] {
+                let mut counts = |pin: bool| -> Vec<i32> {
+                    let mut counts: Vec<i32> = (0..k * d)
+                        .map(|_| (values.next() % (2 * spread as u64 + 1)) as i32 - spread)
+                        .collect();
+                    if pin {
+                        counts[0] = spread;
+                        counts[k * d - 1] = -spread;
+                    }
+                    counts
+                };
+                let (now, start) = (counts(true), counts(false));
+                let stride = words_for(d);
+                // Nothing erased, everything erased, a random mask; pad
+                // bits are noise in the sign words and the mask alike.
+                let arrivals: Vec<(Vec<u64>, Vec<u64>)> = [0, u64::MAX, 1, 1, 1]
+                    .into_iter()
+                    .map(|mask| {
+                        let words = (0..k * stride).map(|_| values.next()).collect();
+                        let erased = (0..k * stride)
+                            .map(|_| if mask == 1 { values.next() } else { mask })
+                            .collect();
+                        (words, erased)
+                    })
+                    .collect();
+                let what = format!("k={k} d={d} spread={spread}");
+
+                let mut views = [NarrowView::default(), NarrowView::default()];
+                for (view, counts) in views.iter_mut().zip([&now, &start]) {
+                    let model = PackedHdModel::from_counts(counts.clone(), k, d).unwrap();
+                    assert!(model.narrow_into(view), "{what}");
+                }
+                let wire = arrivals.iter().map(|(w, e)| (w.as_slice(), e.as_slice()));
+                let got = binary_round(&views[0], &views[1], wire);
+
+                let (now, start) = (float_view(&now), float_view(&start));
+                let geometry = geometry_of(&now, k, d);
+                for (&got, &want) in got.geometry.norms.iter().zip(&geometry.norms) {
+                    same_bits(got, want, &format!("{what}: norm"));
+                }
+                assert_eq!(got.geometry.norms.len(), k, "{what}");
+                same_bits(
+                    got.geometry.cosine_margin,
+                    geometry.cosine_margin,
+                    &format!("{what}: margin"),
+                );
+                let mut aggregate = Vec::new();
+                let rate = delta_and_sign_flip_rate(&now, &start, &mut aggregate);
+                same_bits(got.sign_flip_rate, rate, &format!("{what}: sign flips"));
+                let deltas: Vec<Vec<f32>> = arrivals
+                    .iter()
+                    .map(|(words, erased)| {
+                        let view = wire_view(words, erased, k, d);
+                        view.iter().zip(&start).map(|(&v, &b)| v - b).collect()
+                    })
+                    .collect();
+                let distances = cosine_distances(&deltas, &aggregate);
+                assert_eq!(got.distances.len(), arrivals.len(), "{what}");
+                for (&got, &want) in got.distances.iter().zip(&distances) {
+                    same_bits(got, want, &format!("{what}: distance"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn binary_round_without_arrivals_or_a_vote_reports_a_still_model() {
+        use crate::packed::PackedHdModel;
+        let model = PackedHdModel::from_counts(vec![2, -1, 0, 3, 1, 1], 2, 3).unwrap();
+        let mut view = NarrowView::default();
+        assert!(model.narrow_into(&mut view));
+        let got = binary_round(&view, &view, []);
+        assert_eq!(got.sign_flip_rate, 0.0);
+        assert!(got.distances.is_empty());
+        let floats = float_view(&[2, -1, 0, 3, 1, 1]);
+        assert_eq!(got.geometry, geometry_of(&floats, 2, 3));
+        // An arrival against an aggregate that did not move: distance 1,
+        // or 0 if the arrival's own delta is zero too.
+        let all = [u64::MAX; 2];
+        let none = [0u64; 2];
+        assert_eq!(
+            binary_round(&view, &view, [(&all[..], &none[..])]).distances,
+            [1.0]
+        );
+        let blank = PackedHdModel::new(2, 3).unwrap();
+        assert!(blank.narrow_into(&mut view));
+        assert_eq!(
+            binary_round(&view, &view, [(&none[..], &all[..])]).distances,
+            [0.0]
+        );
     }
 
     #[test]

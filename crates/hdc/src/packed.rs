@@ -33,6 +33,7 @@
 use fhdnn_tensor::Tensor;
 
 use crate::error::HdcError;
+use crate::simd::NARROW_MAX;
 use crate::Result;
 
 /// Bits per packing word.
@@ -445,6 +446,30 @@ impl PackedHdModel {
         counters
     }
 
+    /// Writes the model as it stands — counters narrowed to `i16`, sign
+    /// words copied — over `out`, reusing its storage. Returns `false`,
+    /// leaving `out` empty, if a counter lies further than [`NARROW_MAX`]
+    /// from zero.
+    pub fn narrow_into(&self, out: &mut NarrowView) -> bool {
+        // NARROW_MAX is all ones, so the magnitudes OR-ed together exceed
+        // it exactly when one of them does.
+        const { assert!((NARROW_MAX + 1).count_ones() == 1) };
+        let mut magnitudes = 0u32;
+        out.counts.clear();
+        out.counts.extend(self.protos.iter().map(|&count| {
+            magnitudes |= count.unsigned_abs();
+            count as i16
+        }));
+        if magnitudes > u32::from(NARROW_MAX.unsigned_abs()) {
+            *out = NarrowView::default();
+            return false;
+        }
+        out.signs.clear();
+        out.signs.extend_from_slice(&self.packed);
+        out.dim = self.dim;
+        true
+    }
+
     /// One-shot training (§3.3, step 2): bundles every hypervector into
     /// its label's prototype, `c_k ← c_k + h`.
     ///
@@ -569,6 +594,41 @@ impl ClassRows for PackedHdModel {
             &mut self.protos[c * self.dim..(c + 1) * self.dim],
             &mut self.packed[c * self.stride..(c + 1) * self.stride],
         )
+    }
+}
+
+/// A [`PackedHdModel`] at one moment as health diagnostics read it
+/// ([`crate::health::binary_round`]): its counters narrowed to `i16` and
+/// its sign words. Only [`PackedHdModel::narrow_into`] fills one, and only
+/// with counters within [`NARROW_MAX`] of zero — the range the `i16`
+/// kernels are exact in. The default is empty.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NarrowView {
+    counts: Vec<i16>,
+    signs: Vec<u64>,
+    dim: usize,
+}
+
+impl NarrowView {
+    /// `true` until a model has been narrowed into this view.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// The narrowed counters, `num_classes × dim` row-major.
+    pub(crate) fn counts(&self) -> &[i16] {
+        &self.counts
+    }
+
+    /// The sign words of every class, row after row.
+    pub(crate) fn signs(&self) -> &[u64] {
+        &self.signs
+    }
+
+    /// Dimensions per class row.
+    pub(crate) fn dim(&self) -> usize {
+        self.dim
     }
 }
 
@@ -1122,6 +1182,36 @@ mod tests {
             let blank = PackedHdModel::new(classes, dim).unwrap();
             assert_eq!(resident.packed_row(1), blank.packed_row(1));
         }
+    }
+
+    #[test]
+    fn a_counter_out_of_the_narrow_range_empties_the_view() {
+        use crate::simd::NARROW_MAX;
+        let max = i32::from(NARROW_MAX);
+        let mut view = NarrowView::default();
+        for (edge, fits) in [
+            (max, true),
+            (-max, true),
+            (max + 1, false),
+            (-max - 1, false),
+        ] {
+            let model = PackedHdModel::from_counts(vec![0, edge, 0, 0], 2, 2).unwrap();
+            assert_eq!(model.narrow_into(&mut view), fits, "{edge}");
+            assert_eq!(view.is_empty(), !fits, "{edge}");
+            if fits {
+                assert_eq!(view.counts(), [0, edge as i16, 0, 0]);
+                assert_eq!(
+                    view.signs(),
+                    [model.packed_row(0), model.packed_row(1)].concat()
+                );
+                assert_eq!(view.dim(), 2);
+            }
+        }
+        let far = PackedHdModel::from_counts(vec![i32::MIN, 65_536, 0, 0], 2, 2).unwrap();
+        assert!(
+            !far.narrow_into(&mut view),
+            "values whose low half is small"
+        );
     }
 
     #[test]

@@ -3,8 +3,11 @@
 //! Three kernel families dominate the `round.*` benches once fedhd runs
 //! on [`crate::packed`]: sign packing (`f32`/`i32` → bit-per-dim words),
 //! Hamming/popcount similarity, and the `i32` counter updates (bundle,
-//! ±1 accumulate, majority vote). This module ships a portable scalar
-//! implementation of each ([`scalar`]) plus `std::arch` specialisations
+//! ±1 accumulate, majority vote). A recorded round adds a fourth: exact
+//! `i16` sums over narrowed counters ([`dot_i16`], [`signed_sums_i16`]),
+//! off which health diagnostics are read. This module ships a portable
+//! scalar implementation of each ([`scalar`]) plus `std::arch`
+//! specialisations
 //! — AVX2 on `x86_64`, NEON on `aarch64` where the win is trivial — and
 //! picks one **once** per process behind a [`std::sync::OnceLock`]:
 //!
@@ -166,6 +169,74 @@ pub fn vote_pm1_masked(dst: &mut [i32], words: &[u64], erased: &[u64]) {
     }
 }
 
+/// Largest counter magnitude the `i16` kernels ([`dot_i16`],
+/// [`signed_sums_i16`]) are specified for. A product of two such values
+/// stays below 2²⁰, so the AVX2 kernels can add a thousand `vpmaddwd`
+/// pair sums in an `i32` lane before widening, and a sum over any model
+/// that fits in memory stays far inside the 2⁵³ integers an `f64` holds
+/// exactly — which is what lets health diagnostics read these sums in
+/// place of `f64` chains (`crate::health::binary_round`).
+pub const NARROW_MAX: i16 = 1023;
+
+/// Whether every value is within [`NARROW_MAX`] of zero.
+fn narrow(values: &[i16]) -> bool {
+    values.iter().all(|v| v.unsigned_abs() <= NARROW_MAX as u16)
+}
+
+/// Exact `Σ x[i]·y[i]` over two equal-length `i16` rows whose values are
+/// all within [`NARROW_MAX`] of zero (a longer row is cut to the shorter).
+#[must_use]
+pub fn dot_i16(x: &[i16], y: &[i16]) -> i64 {
+    debug_assert_eq!(x.len(), y.len());
+    debug_assert!(narrow(x) && narrow(y));
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Backend::Avx2 is only ever selected after
+        // `is_x86_feature_detected!("avx2")` returned true.
+        Backend::Avx2 => unsafe { x86::dot_i16(x, y) },
+        _ => scalar::dot_i16(x, y),
+    }
+}
+
+/// `(Σ v[i]·x[i], Σ v[i]·y[i])` over two equal-length `i16` rows, where
+/// `v` is the wire view of a received sign row: `+1` where bit `i` of
+/// `words` is set, `−1` where it is clear, `0` where bit `i` of `erased`
+/// is set (the dimension was lost in transit). Row values are within
+/// [`NARROW_MAX`] of zero; bits past the rows' length are never read.
+///
+/// # Panics
+///
+/// If `words` or `erased` holds fewer than one bit per row value.
+#[must_use]
+pub fn signed_sums_i16(x: &[i16], y: &[i16], words: &[u64], erased: &[u64]) -> (i64, i64) {
+    debug_assert_eq!(x.len(), y.len());
+    debug_assert!(narrow(x) && narrow(y));
+    // BOUNDS: n is the shorter row's length, so `..n` slices both; the
+    // chunk sizes are nonzero constants.
+    let n = x.len().min(y.len());
+    let bits = words.len().min(erased.len()) * WORD_BITS;
+    assert!(bits >= n, "{bits} sign bits for rows of {n} values");
+    // A segment is what a kernel may sum in `i32`: 2¹³ words of in-range
+    // values stay below 2²⁷ in any lane.
+    const SEGMENT: usize = 1 << 13;
+    let rows = x[..n].chunks(SEGMENT * WORD_BITS);
+    let rows = rows.zip(y[..n].chunks(SEGMENT * WORD_BITS));
+    let wire = words.chunks(SEGMENT).zip(erased.chunks(SEGMENT));
+    let (mut sum_x, mut sum_y) = (0i64, 0i64);
+    for ((x, y), (words, erased)) in rows.zip(wire) {
+        let (segment_x, segment_y) = match backend() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: Backend::Avx2 is only ever selected after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            Backend::Avx2 => unsafe { x86::signed_sums_i16(x, y, words, erased) },
+            _ => scalar::signed_sums_i16(x, y, words, erased),
+        };
+        sum_x += segment_x;
+        sum_y += segment_y;
+    }
+    (sum_x, sum_y)
+}
+
 /// Portable scalar implementations — the oracle every SIMD backend is
 /// fuzzed against, and the backend `FHDNN_NO_SIMD=1` forces.
 pub mod scalar {
@@ -239,6 +310,43 @@ pub mod scalar {
             }
         }
     }
+
+    /// Scalar [`super::dot_i16`]: `i32` products summed a block at a
+    /// time, short enough that no `i32` sum of in-range rows overflows.
+    #[must_use]
+    pub fn dot_i16(x: &[i16], y: &[i16]) -> i64 {
+        const BLOCK: usize = 1024;
+        x.chunks(BLOCK)
+            .zip(y.chunks(BLOCK))
+            .map(|(xs, ys)| {
+                let products = xs
+                    .iter()
+                    .zip(ys)
+                    .map(|(&a, &b)| i32::from(a) * i32::from(b));
+                i64::from(products.sum::<i32>())
+            })
+            .sum()
+    }
+
+    /// Scalar [`super::signed_sums_i16`], a word of sign bits at a time.
+    #[must_use]
+    pub fn signed_sums_i16(x: &[i16], y: &[i16], words: &[u64], erased: &[u64]) -> (i64, i64) {
+        let (mut sum_x, mut sum_y) = (0i64, 0i64);
+        let rows = x.chunks(WORD_BITS).zip(y.chunks(WORD_BITS));
+        for ((xs, ys), (&signs, &erased)) in rows.zip(words.iter().zip(erased)) {
+            let (mut word_x, mut word_y) = (0i32, 0i32);
+            for (bit, (&a, &b)) in xs.iter().zip(ys).enumerate() {
+                // +1 / −1 off the sign bit, times 1 / 0 off the erasure bit.
+                let sign = (signs >> bit & 1) as i32 * 2 - 1;
+                let view = sign * (!erased >> bit & 1) as i32;
+                word_x += view * i32::from(a);
+                word_y += view * i32::from(b);
+            }
+            sum_x += i64::from(word_x);
+            sum_y += i64::from(word_y);
+        }
+        (sum_x, sum_y)
+    }
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -248,12 +356,13 @@ mod x86 {
     //! dispatchers in the parent module are the sole call sites.
 
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256,
-        _mm256_andnot_si256, _mm256_blendv_epi8, _mm256_castsi256_ps, _mm256_cmp_ps,
-        _mm256_cmpeq_epi32, _mm256_loadu_ps, _mm256_loadu_si256, _mm256_movemask_ps,
-        _mm256_sad_epu8, _mm256_set1_epi32, _mm256_set1_epi8, _mm256_setr_epi32, _mm256_setr_epi8,
-        _mm256_setzero_ps, _mm256_setzero_si256, _mm256_shuffle_epi8, _mm256_srli_epi32,
-        _mm256_storeu_si256, _mm256_xor_si256, _CMP_GE_OQ,
+        __m256i, _mm256_add_epi16, _mm256_add_epi32, _mm256_add_epi64, _mm256_add_epi8,
+        _mm256_and_si256, _mm256_andnot_si256, _mm256_blendv_epi8, _mm256_castsi256_ps,
+        _mm256_cmp_ps, _mm256_cmpeq_epi16, _mm256_cmpeq_epi32, _mm256_loadu_ps, _mm256_loadu_si256,
+        _mm256_madd_epi16, _mm256_movemask_ps, _mm256_or_si256, _mm256_sad_epu8, _mm256_set1_epi16,
+        _mm256_set1_epi32, _mm256_set1_epi8, _mm256_setr_epi16, _mm256_setr_epi32,
+        _mm256_setr_epi8, _mm256_setzero_ps, _mm256_setzero_si256, _mm256_shuffle_epi8,
+        _mm256_sign_epi16, _mm256_srli_epi32, _mm256_storeu_si256, _mm256_xor_si256, _CMP_GE_OQ,
     };
 
     use super::WORD_BITS;
@@ -500,6 +609,158 @@ mod x86 {
             }
         }
     }
+    /// `i16` values one 256-bit register holds.
+    const LANES: usize = 16;
+
+    /// Sum of a register's eight `i32` lanes, widened.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    // SAFETY: one store into a local array; AVX2 guaranteed by the caller.
+    #[target_feature(enable = "avx2")]
+    unsafe fn widen_sum(lanes: __m256i) -> i64 {
+        let mut out = [0i32; 8];
+        // SAFETY: `out` is exactly 32 bytes, matching the unaligned
+        // 256-bit store.
+        unsafe { _mm256_storeu_si256(out.as_mut_ptr().cast::<__m256i>(), lanes) };
+        out.iter().map(|&lane| i64::from(lane)).sum()
+    }
+
+    /// The register a 16-value group of an `i16` row fills.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    // SAFETY: one load from a reference to exactly 16 values; AVX2
+    // guaranteed by the caller.
+    #[target_feature(enable = "avx2")]
+    unsafe fn load_group(group: &[i16; LANES]) -> __m256i {
+        // SAFETY: `group` is exactly 32 bytes, matching the unaligned
+        // 256-bit load.
+        unsafe { _mm256_loadu_si256(group.as_ptr().cast::<__m256i>()) }
+    }
+
+    /// AVX2 [`super::super::simd::dot_i16`]: `vpmaddwd` multiplies 16
+    /// pairs and adds neighbours into eight `i32` lanes. In-range values
+    /// keep a pair sum below 2²¹, so a lane takes the 256 groups of a
+    /// block without overflow and is widened once per block.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    // SAFETY: the dispatcher in the parent module is the sole caller
+    // and only selects this path after runtime AVX2 detection.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn dot_i16(x: &[i16], y: &[i16]) -> i64 {
+        // BOUNDS: n is the shorter row's length, so `..n` slices both;
+        // BLOCK is a nonzero constant.
+        const BLOCK: usize = 256 * LANES;
+        let n = x.len().min(y.len());
+        let mut total = 0i64;
+        for (xs, ys) in x[..n].chunks(BLOCK).zip(y[..n].chunks(BLOCK)) {
+            let (groups_x, tail_x) = xs.as_chunks::<LANES>();
+            let (groups_y, tail_y) = ys.as_chunks::<LANES>();
+            let mut lanes = _mm256_setzero_si256();
+            for (gx, gy) in groups_x.iter().zip(groups_y) {
+                let products = _mm256_madd_epi16(load_group(gx), load_group(gy));
+                lanes = _mm256_add_epi32(lanes, products);
+            }
+            total += widen_sum(lanes);
+            let tail = tail_x.iter().zip(tail_y);
+            total += tail
+                .map(|(&a, &b)| i64::from(a) * i64::from(b))
+                .sum::<i64>();
+        }
+        total
+    }
+
+    /// The whole registers of one sign word's stretch of two rows (up to
+    /// four each), under the word's wire view and summed in `i16` lanes,
+    /// which four in-range values fit: 16 sign bits and 16 erasure bits
+    /// become one register of `+1` / `−1` / `0` lanes and `vpsignw`
+    /// applies it to both rows.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline]
+    // SAFETY: pure register arithmetic over `load_group`s of exactly 16
+    // values; AVX2 guaranteed by the caller.
+    #[target_feature(enable = "avx2")]
+    unsafe fn word_sums(xs: &[i16], ys: &[i16], signs: u64, lost: u64) -> (__m256i, __m256i) {
+        // Lane `j` tests bit `j` of the broadcast 16 bits.
+        #[rustfmt::skip]
+        let select = _mm256_setr_epi16(
+            1, 2, 4, 8, 16, 32, 64, 128,
+            256, 512, 1024, 2048, 4096, 8192, 16384, i16::MIN,
+        );
+        let ones = _mm256_set1_epi16(1);
+        let zero = _mm256_setzero_si256();
+        let (groups_x, _) = xs.as_chunks::<LANES>();
+        let (groups_y, _) = ys.as_chunks::<LANES>();
+        let (mut sum_x, mut sum_y) = (zero, zero);
+        for (q, (gx, gy)) in groups_x.iter().zip(groups_y).enumerate() {
+            let signs = _mm256_set1_epi16((signs >> (q * LANES)) as i16);
+            let lost = _mm256_set1_epi16((lost >> (q * LANES)) as i16);
+            // All ones (−1) where the sign bit is clear, +1 where set.
+            let clear = _mm256_cmpeq_epi16(_mm256_and_si256(signs, select), zero);
+            let view = _mm256_or_si256(clear, ones);
+            let is_lost = _mm256_cmpeq_epi16(_mm256_and_si256(lost, select), select);
+            let view = _mm256_andnot_si256(is_lost, view);
+            sum_x = _mm256_add_epi16(sum_x, _mm256_sign_epi16(load_group(gx), view));
+            sum_y = _mm256_add_epi16(sum_y, _mm256_sign_epi16(load_group(gy), view));
+        }
+        (sum_x, sum_y)
+    }
+
+    /// AVX2 [`super::super::simd::signed_sums_i16`], a word of sign bits
+    /// at a time: [`word_sums`], then `vpmaddwd` against ones adds
+    /// neighbours into `i32` lanes — at most 2¹³ a word, which the
+    /// segments the dispatcher cuts keep from overflowing.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    // SAFETY: the dispatcher in the parent module is the sole caller
+    // and only selects this path after runtime AVX2 detection.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn signed_sums_i16(
+        x: &[i16],
+        y: &[i16],
+        words: &[u64],
+        erased: &[u64],
+    ) -> (i64, i64) {
+        // BOUNDS: the dispatcher cuts x and y to one length and asserts
+        // words and erased hold a bit for each value, so the word after
+        // the whole ones exists whenever values are left for it.
+        let ones = _mm256_set1_epi16(1);
+        let (mut lanes_x, mut lanes_y) = (_mm256_setzero_si256(), _mm256_setzero_si256());
+        let mut add = |(word_x, word_y): (__m256i, __m256i)| {
+            lanes_x = _mm256_add_epi32(lanes_x, _mm256_madd_epi16(word_x, ones));
+            lanes_y = _mm256_add_epi32(lanes_y, _mm256_madd_epi16(word_y, ones));
+        };
+        let (blocks_x, last_x) = x.as_chunks::<WORD_BITS>();
+        let (blocks_y, last_y) = y.as_chunks::<WORD_BITS>();
+        let wire = words.iter().zip(erased);
+        for ((xs, ys), (&signs, &lost)) in blocks_x.iter().zip(blocks_y).zip(wire) {
+            add(word_sums(xs, ys, signs, lost));
+        }
+        // A row's last word, cut short: whole registers, then values.
+        let (mut rest_x, mut rest_y) = (0i64, 0i64);
+        if !last_x.is_empty() {
+            let (signs, lost) = (words[blocks_x.len()], erased[blocks_x.len()]);
+            add(word_sums(last_x, last_y, signs, lost));
+            let done = last_x.len() / LANES * LANES;
+            for (bit, (&a, &b)) in (done..).zip(last_x[done..].iter().zip(&last_y[done..])) {
+                let sign = (signs >> bit & 1) as i64 * 2 - 1;
+                let view = sign * (!lost >> bit & 1) as i64;
+                rest_x += view * i64::from(a);
+                rest_y += view * i64::from(b);
+            }
+        }
+        (rest_x + widen_sum(lanes_x), rest_y + widen_sum(lanes_y))
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -638,7 +899,96 @@ mod tests {
             vote_pm1_masked(&mut d1, &x, &erased);
             scalar::vote_pm1_masked(&mut d2, &x, &erased);
             assert_eq!(d1, d2, "vote dim {dim}");
+
+            let (p, q) = (narrow_row(dim, 31), narrow_row(dim, 37));
+            assert_eq!(dot_i16(&p, &q), scalar::dot_i16(&p, &q), "dot dim {dim}");
+            assert_eq!(
+                signed_sums_i16(&p, &q, &x, &erased),
+                scalar::signed_sums_i16(&p, &q, &x, &erased),
+                "signed sums dim {dim}"
+            );
         }
+    }
+
+    /// Values over the whole range the `i16` kernels take, both ends
+    /// included.
+    fn narrow_row(dim: usize, seed: u64) -> Vec<i16> {
+        let span = 2 * NARROW_MAX as u64 + 1;
+        (0..dim as u64)
+            .map(|i| match mix(seed, i) % 8 {
+                0 => NARROW_MAX,
+                1 => -NARROW_MAX,
+                _ => (mix(seed ^ 1, i) % span) as i16 - NARROW_MAX,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn i16_kernels_match_their_definitions() {
+        for &dim in DIMS {
+            let (p, q) = (narrow_row(dim, 43), narrow_row(dim, 47));
+            let dot: i64 = p.iter().zip(&q).map(|(&a, &b)| a as i64 * b as i64).sum();
+            assert_eq!(dot_i16(&p, &q), dot, "dim {dim}");
+            assert_eq!(scalar::dot_i16(&p, &q), dot, "dim {dim}");
+            // Both ends of the range against each other, every lane full.
+            let (top, bottom) = (vec![NARROW_MAX; dim], vec![-NARROW_MAX; dim]);
+            let square = dim as i64 * NARROW_MAX as i64 * NARROW_MAX as i64;
+            assert_eq!(dot_i16(&top, &top), square, "dim {dim}");
+            assert_eq!(dot_i16(&top, &bottom), -square, "dim {dim}");
+
+            let signs = words(dim, 53);
+            let none = vec![0u64; signs.len()];
+            let all = vec![u64::MAX; signs.len()];
+            for erased in [&none, &all, &words(dim, 59)] {
+                let (mut sum_p, mut sum_q) = (0i64, 0i64);
+                for i in 0..dim {
+                    let (w, b) = (i / WORD_BITS, i % WORD_BITS);
+                    let view = if erased[w] >> b & 1 == 1 {
+                        0
+                    } else if signs[w] >> b & 1 == 1 {
+                        1
+                    } else {
+                        -1
+                    };
+                    sum_p += view * p[i] as i64;
+                    sum_q += view * q[i] as i64;
+                }
+                assert_eq!(
+                    signed_sums_i16(&p, &q, &signs, erased),
+                    (sum_p, sum_q),
+                    "dim {dim}"
+                );
+                assert_eq!(
+                    scalar::signed_sums_i16(&p, &q, &signs, erased),
+                    (sum_p, sum_q),
+                    "dim {dim}"
+                );
+            }
+            // Every sign set over the top of the range: the largest sum.
+            let top_sum = dim as i64 * NARROW_MAX as i64;
+            assert_eq!(
+                signed_sums_i16(&top, &bottom, &all, &none),
+                (top_sum, -top_sum),
+                "dim {dim}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore = "a million-value row is minutes of interpretation")]
+    fn i16_kernels_widen_before_an_i32_lane_fills() {
+        // Longer than any block either kernel sums in `i32`: a dot of
+        // 2²⁰ top-of-range squares is past 2⁴⁰.
+        let dim = (1 << 20) + 17;
+        let top = vec![NARROW_MAX; dim];
+        let all = vec![u64::MAX; dim.div_ceil(WORD_BITS)];
+        let none = vec![0u64; all.len()];
+        let max = NARROW_MAX as i64;
+        assert_eq!(dot_i16(&top, &top), dim as i64 * max * max);
+        assert_eq!(scalar::dot_i16(&top, &top), dim as i64 * max * max);
+        let sums = (dim as i64 * max, dim as i64 * max);
+        assert_eq!(signed_sums_i16(&top, &top, &all, &none), sums);
+        assert_eq!(scalar::signed_sums_i16(&top, &top, &all, &none), sums);
     }
 
     #[test]

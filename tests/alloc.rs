@@ -31,6 +31,11 @@
 //!    d = 10 000, six participants) asks the allocator for about a tenth
 //!    of a model in total: sign words, erasure masks and the few class
 //!    rows refinement writes. Thread-local window, inline execution.
+//! 7. A **recorded packed federation retains about one model of health
+//!    scratch** between rounds — the round-start and voted counters as
+//!    `i16` and their sign words — where float baseline, aggregate delta
+//!    and a delta per arrival were eight. Process-wide live bytes, exact
+//!    while the file's lock is held.
 
 use fhdnn::channel::packet::PacketLossChannel;
 use fhdnn::channel::NoiselessChannel;
@@ -44,11 +49,12 @@ use fhdnn::hdc::packed::{pack_signs, pack_signs_into, words_for, PackedBatch, Pa
 use fhdnn::nn::conv::{Conv2d, ConvGeometry};
 use fhdnn::nn::{Layer, Mode};
 use fhdnn::telemetry::mem;
+use fhdnn::telemetry::sink::NoopSink;
 use fhdnn::telemetry::Recorder;
 use fhdnn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const DIM: usize = 2048;
 const CLASSES: usize = 6;
@@ -389,5 +395,36 @@ fn steady_state_packed_round_stays_inside_its_byte_budget() {
         "a steady-state packed round allocated {} B in {} blocks; a model is {MODEL_BYTES} B",
         delta.alloc_bytes,
         delta.allocs
+    );
+}
+
+#[test]
+fn recorded_packed_federation_retains_under_two_models_of_health_scratch() {
+    let _alone = alone();
+    const SHAPE: (usize, usize, usize) = (26, 10_000, 26);
+    const MODEL_BYTES: u64 = (SHAPE.0 * SHAPE.1 * 4) as u64;
+    // What the process holds with the federation alive after three
+    // rounds, above what it held before the federation was built.
+    let live_after_round_3 = |recorded: bool| {
+        let before = mem::stats().live_bytes;
+        let (mut fed, test) = federation(6, 5, HdTransport::Binary, SHAPE);
+        if recorded {
+            // Into a discarding sink, so event storage does not count.
+            fed.set_telemetry(Recorder::with_sink(Arc::new(NoopSink)));
+        }
+        let channel = PacketLossChannel::new(0.1, 256).unwrap();
+        for _round in 0..3 {
+            fed.run_round(&channel, &test).unwrap();
+        }
+        mem::stats().live_bytes.saturating_sub(before)
+    };
+    let (bare, recorded) = (live_after_round_3(false), live_after_round_3(true));
+    assert!(bare > MODEL_BYTES, "tracking is live: {bare} B");
+    let scratch = recorded.saturating_sub(bare);
+    // Two narrowed models are one `f32` model; the float diagnostics
+    // kept a baseline, an aggregate delta and six client deltas (8.3 MB).
+    assert!(
+        scratch > MODEL_BYTES / 2 && scratch < 2 * MODEL_BYTES,
+        "a recorder makes the packed federation retain {scratch} B; a model is {MODEL_BYTES} B"
     );
 }

@@ -21,7 +21,9 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
+use fhdnn::channel::bit_error::BitErrorChannel;
 use fhdnn::channel::packet::PacketLossChannel;
+use fhdnn::channel::Channel;
 use fhdnn::datasets::features::FeatureSpec;
 use fhdnn::datasets::partition::Partition;
 use fhdnn::federated::config::{FlConfig, HdExecution};
@@ -312,30 +314,62 @@ fn packed_similarity_is_at_least_4x_faster_at_d10000() {
 // channel in the mix so both engines consume their RNG streams in full.
 // ---------------------------------------------------------------------
 
-/// One instrumented binary-transport campaign. Returns the run history
-/// (whose `PartialEq` already excludes wall-clock and heap watermarks),
-/// the final global-model bits, and the captured `health.round` events
-/// with their environment-dependent `mem_*` fields zeroed.
-fn binary_campaign(execution: HdExecution, threads: usize) -> (RunHistory, Vec<u32>, Vec<Event>) {
-    const DIM: usize = 1024;
-    const NUM_CLIENTS: usize = 4;
-    const CLASSES: usize = 5;
+/// What one campaign of the wall is run over: a model shape, a cohort, a
+/// channel, who straggles when, and the global model it starts from.
+struct Scenario {
+    name: &'static str,
+    classes: usize,
+    dim: usize,
+    clients: usize,
+    client_fraction: f32,
+    /// Each round's straggler probability; `NOBODY` leaves the server
+    /// without a single arrival.
+    stragglers: [f64; 3],
+    link: Link,
+    initial: Initial,
+}
+
+/// As good as surely everyone straggles (`set_straggler_prob` stops
+/// short of 1).
+const NOBODY: f64 = 1.0 - 1e-12;
+
+#[derive(Clone, Copy)]
+enum Link {
+    PacketLoss(f64),
+    BitErrors(f64),
+}
+
+#[derive(Clone, Copy)]
+enum Initial {
+    /// All zero, as every campaign of the CLI starts.
+    Blank,
+    /// Fractions on both sides of zero, values that truncate to zero and
+    /// a negative zero: no vote could have written it, and the packed
+    /// engine publishes it as handed in until one does.
+    Fractional,
+    /// Integers, but further from zero than the `i16` kernels of the
+    /// packed engine's health take.
+    Wide,
+}
+
+/// The scenario's clients and test set, encoded once for all of its runs.
+fn scenario_data(s: &Scenario) -> (Vec<HdClientData>, HdClientData) {
     let spec = FeatureSpec {
-        num_classes: CLASSES,
+        num_classes: s.classes,
         width: 40,
         noise_std: 0.6,
         class_seed: 11,
     };
-    let train = spec.generate(NUM_CLIENTS * 25, 0).unwrap();
+    let train = spec.generate(s.clients * 25, 0).unwrap();
     let test = spec.generate(60, 1).unwrap();
-    let enc = RandomProjectionEncoder::new(DIM, 40, 3).unwrap();
+    let enc = RandomProjectionEncoder::new(s.dim, 40, 3).unwrap();
     let h_train = enc.encode_batch(&train.features).unwrap();
     let h_test = enc.encode_batch(&test.features).unwrap();
     let mut rng = StdRng::seed_from_u64(0);
     let parts = Partition::Iid
-        .split(&train.labels, NUM_CLIENTS, &mut rng)
+        .split(&train.labels, s.clients, &mut rng)
         .unwrap();
-    let clients: Vec<HdClientData> = parts
+    let clients = parts
         .iter()
         .map(|idx| {
             let mut data = Vec::new();
@@ -345,33 +379,66 @@ fn binary_campaign(execution: HdExecution, threads: usize) -> (RunHistory, Vec<u
                 labels.push(train.labels[i]);
             }
             HdClientData {
-                hypervectors: Tensor::from_vec(data, &[idx.len(), DIM]).unwrap(),
+                hypervectors: Tensor::from_vec(data, &[idx.len(), s.dim]).unwrap(),
                 labels,
             }
         })
         .collect();
-    let config = FlConfig {
-        num_clients: NUM_CLIENTS,
-        rounds: 3,
-        local_epochs: 2,
-        batch_size: 10,
-        client_fraction: 0.5,
-        seed: 7,
-        execution,
-    };
-    let global = HdModel::new(CLASSES, DIM).unwrap();
-    let mut fed = HdFederation::new(global, clients, config, HdTransport::Binary).unwrap();
-    fed.set_threads(threads);
-    fed.set_straggler_prob(0.25).unwrap();
-    let sink = Arc::new(MemorySink::new());
-    let tel = Recorder::with_sink_and_clock(sink.clone(), Arc::new(ManualClock::new(10)));
-    fed.set_telemetry(tel.clone());
-    let channel = PacketLossChannel::new(0.2, 256).unwrap();
     let test_data = HdClientData {
         hypervectors: h_test,
         labels: test.labels,
     };
-    let history = fed.run(&channel, &test_data, "parity").unwrap();
+    (clients, test_data)
+}
+
+/// One instrumented binary-transport campaign. Returns the run history
+/// (whose `PartialEq` already excludes wall-clock and heap watermarks),
+/// the final global-model bits, and the captured `health.round` events
+/// with their environment-dependent `mem_*` fields zeroed.
+fn binary_campaign(
+    s: &Scenario,
+    (clients, test_data): &(Vec<HdClientData>, HdClientData),
+    execution: HdExecution,
+    threads: usize,
+    fleet: bool,
+) -> (RunHistory, Vec<u32>, Vec<Event>) {
+    let config = FlConfig {
+        num_clients: s.clients,
+        rounds: s.stragglers.len(),
+        local_epochs: 2,
+        batch_size: 10,
+        client_fraction: s.client_fraction,
+        seed: 7,
+        execution,
+    };
+    let mut global = HdModel::new(s.classes, s.dim).unwrap();
+    for (i, v) in global
+        .prototypes_mut()
+        .as_mut_slice()
+        .iter_mut()
+        .enumerate()
+    {
+        *v = match s.initial {
+            Initial::Blank => 0.0,
+            Initial::Fractional => [0.5, -0.5, 1.75, -2.25, -0.0, 3.0][i % 6] * (1 + i % 3) as f32,
+            Initial::Wide => [5000.0, -5000.0, 0.0][i % 3],
+        };
+    }
+    let mut fed = HdFederation::new(global, clients.clone(), config, HdTransport::Binary).unwrap();
+    fed.set_threads(threads);
+    fed.set_fleet_telemetry(fleet);
+    let sink = Arc::new(MemorySink::new());
+    let tel = Recorder::with_sink_and_clock(sink.clone(), Arc::new(ManualClock::new(10)));
+    fed.set_telemetry(tel.clone());
+    let channel: Box<dyn Channel> = match s.link {
+        Link::PacketLoss(loss) => Box::new(PacketLossChannel::new(loss, 256).unwrap()),
+        Link::BitErrors(ber) => Box::new(BitErrorChannel::new(ber).unwrap()),
+    };
+    let mut history = RunHistory::new("parity");
+    for prob in s.stragglers {
+        fed.set_straggler_prob(prob).unwrap();
+        history.push(fed.run_round(channel.as_ref(), test_data).unwrap());
+    }
     tel.flush();
     let model_bits: Vec<u32> = fed
         .global()
@@ -399,22 +466,138 @@ fn binary_campaign(execution: HdExecution, threads: usize) -> (RunHistory, Vec<u
     (history, model_bits, health)
 }
 
+/// The wall: the packed engine reads a recorded round's health off
+/// integer counters and sign words, the reference off `f64` chains over
+/// float views, and every record must come out the same in every bit —
+/// at the paper's shape, under erasures and under bit flips, through a
+/// round without arrivals, with more arrivals than fleet mode keeps, and
+/// from initial models the integer reading has to decline.
+const WALL: &[Scenario] = &[
+    Scenario {
+        name: "five classes under packet loss",
+        classes: 5,
+        dim: 1024,
+        clients: 4,
+        client_fraction: 0.5,
+        stragglers: [0.25; 3],
+        link: Link::PacketLoss(0.2),
+        initial: Initial::Blank,
+    },
+    Scenario {
+        name: "26 x 65",
+        classes: 26,
+        dim: 65,
+        clients: 8,
+        client_fraction: 0.5,
+        stragglers: [0.25; 3],
+        link: Link::PacketLoss(0.2),
+        initial: Initial::Blank,
+    },
+    Scenario {
+        name: "26 x 1000 under bit errors",
+        classes: 26,
+        dim: 1000,
+        clients: 8,
+        client_fraction: 0.5,
+        stragglers: [0.25; 3],
+        link: Link::BitErrors(0.01),
+        initial: Initial::Blank,
+    },
+    Scenario {
+        name: "26 x 10 000",
+        classes: 26,
+        dim: 10_000,
+        clients: 12,
+        client_fraction: 0.5,
+        stragglers: [0.0, 0.25, 0.25],
+        link: Link::PacketLoss(0.1),
+        initial: Initial::Blank,
+    },
+    Scenario {
+        name: "a round where nothing arrives",
+        classes: 5,
+        dim: 1024,
+        clients: 4,
+        client_fraction: 0.5,
+        stragglers: [0.25, NOBODY, 0.25],
+        link: Link::BitErrors(0.01),
+        initial: Initial::Blank,
+    },
+    Scenario {
+        name: "more arrivals than reservoir slots",
+        classes: 5,
+        dim: 1024,
+        clients: 40,
+        client_fraction: 1.0,
+        stragglers: [0.0, 0.1, 0.1],
+        link: Link::PacketLoss(0.2),
+        initial: Initial::Blank,
+    },
+    Scenario {
+        name: "a fractional initial global, voted on at once",
+        classes: 5,
+        dim: 1000,
+        clients: 4,
+        client_fraction: 0.5,
+        stragglers: [0.0, 0.25, 0.25],
+        link: Link::PacketLoss(0.2),
+        initial: Initial::Fractional,
+    },
+    Scenario {
+        name: "a fractional initial global, published through an empty round",
+        classes: 5,
+        dim: 1000,
+        clients: 4,
+        client_fraction: 0.5,
+        stragglers: [NOBODY, 0.0, 0.25],
+        link: Link::PacketLoss(0.2),
+        initial: Initial::Fractional,
+    },
+    Scenario {
+        name: "initial counts too wide to narrow",
+        classes: 5,
+        dim: 1000,
+        clients: 4,
+        client_fraction: 0.5,
+        stragglers: [0.0, 0.25, 0.25],
+        link: Link::PacketLoss(0.2),
+        initial: Initial::Wide,
+    },
+];
+
 #[test]
 fn fedhd_campaign_packed_matches_reference_at_every_thread_count() {
-    let oracle = binary_campaign(HdExecution::Reference, 1);
-    assert_eq!(oracle.0.rounds.len(), 3, "campaign must complete 3 rounds");
-    assert_eq!(oracle.2.len(), 3, "one health record per round");
-    assert!(
-        oracle.0.rounds.iter().all(|r| r.bytes_per_client == 640),
-        "binary uplink must cost classes x dim/8 bytes"
-    );
-    for threads in [1usize, 2, 8] {
-        for execution in [HdExecution::Reference, HdExecution::Packed] {
-            let run = binary_campaign(execution, threads);
-            let tag = format!("{} at {threads} threads", execution.name());
-            assert_eq!(oracle.0, run.0, "round metrics diverged: {tag}");
-            assert_eq!(oracle.1, run.1, "model bits diverged: {tag}");
-            assert_eq!(oracle.2, run.2, "health records diverged: {tag}");
+    for s in WALL {
+        let data = scenario_data(s);
+        for fleet in [false, true] {
+            let oracle = binary_campaign(s, &data, HdExecution::Reference, 1, fleet);
+            let rounds = s.stragglers.len();
+            assert_eq!(oracle.0.rounds.len(), rounds, "{}: every round ran", s.name);
+            assert_eq!(
+                oracle.2.len(),
+                rounds,
+                "{}: one health record a round",
+                s.name
+            );
+            let wire = (s.classes * s.dim.div_ceil(8)) as u64;
+            assert!(
+                oracle.0.rounds.iter().all(|r| r.bytes_per_client == wire),
+                "{}: binary uplink must cost classes x dim/8 bytes",
+                s.name
+            );
+            for threads in [1usize, 2, 8] {
+                for execution in [HdExecution::Reference, HdExecution::Packed] {
+                    let run = binary_campaign(s, &data, execution, threads, fleet);
+                    let tag = format!(
+                        "{}, fleet {fleet}: {} at {threads} threads",
+                        s.name,
+                        execution.name()
+                    );
+                    assert_eq!(oracle.0, run.0, "round metrics diverged: {tag}");
+                    assert_eq!(oracle.1, run.1, "model bits diverged: {tag}");
+                    assert_eq!(oracle.2, run.2, "health records diverged: {tag}");
+                }
+            }
         }
     }
 }
@@ -496,6 +679,36 @@ fn simd_kernels_match_scalar_mirrors_on_fuzzed_inputs() {
             simd::vote_pm1_masked(&mut dst_a, &wa, &erased);
             simd::scalar::vote_pm1_masked(&mut dst_b, &wa, &erased);
             assert_eq!(dst_a, dst_b, "vote case {case} dim {dim}");
+
+            // The `i16` kernels over their whole range, ends included,
+            // under the fuzzed erasure mask, none and all (pad bits clear
+            // in every word, as the packed transport leaves them).
+            let max = i32::from(simd::NARROW_MAX);
+            let mut narrow = || -> Vec<i16> {
+                (0..dim)
+                    .map(|_| match g.usize_below(8) {
+                        0 => max as i16,
+                        1 => -max as i16,
+                        _ => g.i32_in(-max, max) as i16,
+                    })
+                    .collect()
+            };
+            let (x, y) = (narrow(), narrow());
+            assert_eq!(
+                simd::dot_i16(&x, &y),
+                simd::scalar::dot_i16(&x, &y),
+                "dot_i16 case {case} dim {dim}"
+            );
+            let none = vec![0u64; words];
+            let mut all = vec![u64::MAX; words];
+            *all.last_mut().unwrap() &= pad_mask(dim);
+            for mask in [&erased, &none, &all] {
+                assert_eq!(
+                    simd::signed_sums_i16(&x, &y, &wa, mask),
+                    simd::scalar::signed_sums_i16(&x, &y, &wa, mask),
+                    "signed_sums_i16 case {case} dim {dim}"
+                );
+            }
         }
     });
 }
