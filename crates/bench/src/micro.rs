@@ -204,21 +204,7 @@ pub fn to_json(results: &[BenchResult]) -> String {
 }
 
 fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    jsonl::Value::Str(s.to_string()).to_string()
 }
 
 /// Absolute slack for the allocation-count gate: deviations at or below

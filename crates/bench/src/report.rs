@@ -1,9 +1,9 @@
 //! Report records and table printing shared by all experiments.
 
-use serde::Serialize;
+use fhdnn::telemetry::jsonl::Value;
 
 /// One labeled numeric series (a curve in a figure).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Curve label (e.g. `fhdnn/cifar/iid`).
     pub label: String,
@@ -31,7 +31,7 @@ impl Series {
 }
 
 /// A complete experiment report: series plus free-form summary lines.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExperimentReport {
     /// Experiment identifier (`fig7`, `table1`, …).
     pub id: String,
@@ -86,13 +86,33 @@ impl ExperimentReport {
         out
     }
 
-    /// Serializes the report to pretty JSON.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: the report contains only serializable primitives.
+    /// The report as indented JSON, the form of the committed
+    /// `results/*.json`: keys `id`, `paper_claim`, `series` (objects of
+    /// `label`, `x`, `y`), `summary` (two-element arrays). Non-finite
+    /// numbers are written as `null`.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("report is serializable")
+        let text = |s: &str| Value::Str(s.to_string());
+        let nums = |xs: &[f64]| Value::Arr(xs.iter().map(|&x| Value::Num(x)).collect());
+        let series = self.series.iter().map(|s| {
+            let members = [
+                ("label", text(&s.label)),
+                ("x", nums(&s.x)),
+                ("y", nums(&s.y)),
+            ];
+            Value::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
+        });
+        let summary = self
+            .summary
+            .iter()
+            .map(|(k, v)| Value::Arr(vec![text(k), text(v)]));
+        let members = [
+            ("id", text(&self.id)),
+            ("paper_claim", text(&self.paper_claim)),
+            ("series", Value::Arr(series.collect())),
+            ("summary", Value::Arr(summary.collect())),
+        ];
+        let doc = Value::Obj(members.map(|(k, v)| (k.to_string(), v)).into());
+        format!("{doc:#}")
     }
 }
 
@@ -120,9 +140,19 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_parses() {
-        let r = ExperimentReport::new("t", "c");
-        let v: serde_json::Value = serde_json::from_str(&r.to_json()).unwrap();
-        assert_eq!(v["id"], "t");
+    fn json_keeps_the_committed_results_shape() {
+        let mut r = ExperimentReport::new("t", "c");
+        r.series
+            .push(Series::new("s", vec![1.0, 2.5], vec![0.5, f64::NAN]));
+        r.note("k", "v");
+        let json = r.to_json();
+        assert!(
+            json.starts_with("{\n  \"id\": \"t\",\n  \"paper_claim\""),
+            "{json}"
+        );
+        assert_eq!(
+            json.split_whitespace().collect::<String>(),
+            r#"{"id":"t","paper_claim":"c","series":[{"label":"s","x":[1.0,2.5],"y":[0.5,null]}],"summary":[["k","v"]]}"#
+        );
     }
 }

@@ -11,12 +11,11 @@
 
 use rand::Rng;
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use crate::{Channel, ChannelError, Result};
 
 /// A two-state Markov packet-erasure channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GilbertElliottChannel {
     /// Loss probability in the Good state.
     good_loss: f64,

@@ -7,8 +7,6 @@
 //! 5.0 Mbit/s. Clock time per round is `update_bits / rate`, serialized
 //! over the clients sharing the band.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ChannelError, Result};
 
 /// Data rate (bit/s) the paper assigns to error-free coded transmission.
@@ -18,7 +16,7 @@ pub const ERROR_FREE_RATE_BPS: f64 = 1.6e6;
 pub const ERROR_ADMITTING_RATE_BPS: f64 = 5.0e6;
 
 /// An LTE uplink shared by the participating clients of one round.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LteLink {
     rate_bps: f64,
 }

@@ -15,7 +15,6 @@
 //!    models statistically.
 
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 use crate::{Channel, ChannelError, Result};
 
@@ -33,7 +32,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// A framed packet: sequence number, raw payload bytes, and CRC.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Position of this packet's span in the original payload.
     pub seq: u32,

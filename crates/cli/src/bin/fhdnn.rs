@@ -395,22 +395,11 @@ fn pretrain(workload: Workload, out: &str, seed: u64) -> Result<(), String> {
 
 fn load(ckpt_path: &str) -> Result<FhdnnCheckpoint, String> {
     let bytes = std::fs::read(ckpt_path).map_err(|e| format!("read {ckpt_path}: {e}"))?;
-    if bytes.starts_with(b"FHDN") {
-        FhdnnCheckpoint::from_bytes(&bytes).map_err(|e| e.to_string())
-    } else {
-        let json = String::from_utf8(bytes).map_err(|e| format!("{ckpt_path}: {e}"))?;
-        FhdnnCheckpoint::from_json(&json).map_err(|e| e.to_string())
-    }
+    FhdnnCheckpoint::from_bytes(&bytes).map_err(|e| format!("{ckpt_path}: {e}"))
 }
 
 fn save(ckpt: &FhdnnCheckpoint, path: &str) -> Result<(), String> {
-    // Binary format for .bin paths, inspectable JSON otherwise.
-    let bytes = if path.ends_with(".bin") {
-        ckpt.to_bytes()
-    } else {
-        ckpt.to_json().map_err(|e| e.to_string())?.into_bytes()
-    };
-    std::fs::write(path, bytes).map_err(|e| format!("write {path}: {e}"))
+    std::fs::write(path, ckpt.to_bytes()).map_err(|e| format!("write {path}: {e}"))
 }
 
 fn evaluate(ckpt_path: &str, workload: Workload, test_size: usize) -> Result<(), String> {

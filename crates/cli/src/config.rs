@@ -358,7 +358,7 @@ commands:
                                               in Prometheus text exposition
                                               format (PATH '-' for stdout)
   lint       check workspace invariants (determinism, forbidden APIs,
-             unsafe audit, telemetry registry, serde schema freeze);
+             unsafe audit, telemetry registry, record schema freeze);
              exits non-zero on any error-severity finding
              --json                           machine-readable report (stable
                                               ordering; byte-identical reruns)
@@ -485,7 +485,7 @@ mod tests {
             "simulate --workload mnist --channel packet:0.2 --rounds 7 --clients 100 \
              --non-iid --baseline --transport q8 --execution reference --no-pretrain \
              --seed 9 --threads 4 \
-             --fleet-telemetry --save out.json --telemetry trace.jsonl -v",
+             --fleet-telemetry --save out.bin --telemetry trace.jsonl -v",
         ))
         .unwrap();
         let Command::Simulate(sim) = cli.command else {
@@ -501,7 +501,7 @@ mod tests {
         assert_eq!(sim.execution, HdExecution::Reference);
         assert_eq!(sim.seed, 9);
         assert_eq!(sim.threads, 4);
-        assert_eq!(sim.save.as_deref(), Some("out.json"));
+        assert_eq!(sim.save.as_deref(), Some("out.bin"));
         assert_eq!(sim.telemetry.as_deref(), Some("trace.jsonl"));
         assert_eq!(sim.verbosity, Verbosity::Verbose);
     }
@@ -550,19 +550,19 @@ mod tests {
     #[test]
     fn other_commands_parse() {
         assert!(matches!(
-            Cli::parse(&args("pretrain --workload fashion --out x.json"))
+            Cli::parse(&args("pretrain --workload fashion --out x.bin"))
                 .unwrap()
                 .command,
             Command::Pretrain { .. }
         ));
         assert!(matches!(
-            Cli::parse(&args("evaluate --ckpt x.json --workload mnist"))
+            Cli::parse(&args("evaluate --ckpt x.bin --workload mnist"))
                 .unwrap()
                 .command,
             Command::Evaluate { test_size: 200, .. }
         ));
         assert!(matches!(
-            Cli::parse(&args("info --ckpt x.json")).unwrap().command,
+            Cli::parse(&args("info --ckpt x.bin")).unwrap().command,
             Command::Info { .. }
         ));
     }
@@ -679,7 +679,7 @@ mod tests {
 
     #[test]
     fn errors_are_actionable() {
-        assert!(Cli::parse(&args("pretrain --out x.json")).is_err());
+        assert!(Cli::parse(&args("pretrain --out x.bin")).is_err());
         assert!(Cli::parse(&args("simulate --rounds abc")).is_err());
         assert!(Cli::parse(&args("simulate --clients abc")).is_err());
         assert!(Cli::parse(&args("simulate --threads abc")).is_err());

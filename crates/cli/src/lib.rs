@@ -10,9 +10,9 @@
 //! fhdnn trace --from trace.jsonl --chrome out.json
 //! fhdnn lint --json
 //! fhdnn export --from trace.jsonl --prom health.prom
-//! fhdnn pretrain --workload fashion --out extractor.json
-//! fhdnn evaluate --ckpt extractor.json --workload fashion
-//! fhdnn info --ckpt extractor.json
+//! fhdnn pretrain --workload fashion --out extractor.bin
+//! fhdnn evaluate --ckpt extractor.bin --workload fashion
+//! fhdnn info --ckpt extractor.bin
 //! ```
 //!
 //! The library half of the crate holds the argument/spec parsing so it is

@@ -5,12 +5,11 @@ use fhdnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, StandardNormal};
-use serde::{Deserialize, Serialize};
 
 use crate::{DatasetError, Result};
 
 /// A labeled feature-vector dataset: `[n, width]` features plus labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureDataset {
     /// Feature matrix `[n, width]`.
     pub features: Tensor,
@@ -46,7 +45,7 @@ impl FeatureDataset {
 /// The preset [`FeatureSpec::isolet_like`] matches the shape of the UCI
 /// ISOLET speech dataset used in the paper's Figure 5: 617 features, 26
 /// classes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeatureSpec {
     /// Number of classes.
     pub num_classes: usize,

@@ -16,12 +16,11 @@ use fhdnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, StandardNormal};
-use serde::{Deserialize, Serialize};
 
 use crate::{DatasetError, Result};
 
 /// A labeled image dataset: `[n, c, h, w]` pixels plus integer labels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImageDataset {
     /// Pixel data, `[n, channels, size, size]`, roughly in `[-1, 1]`.
     pub images: Tensor,
@@ -84,7 +83,7 @@ impl ImageDataset {
 }
 
 /// One Gaussian blob of a class prototype.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Blob {
     cx: f32,
     cy: f32,
@@ -98,7 +97,7 @@ struct Blob {
 ///
 /// Use the presets [`SynthSpec::mnist_like`], [`SynthSpec::fashion_like`],
 /// [`SynthSpec::cifar_like`], or build a custom one.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SynthSpec {
     /// Corpus name used in experiment logs.
     pub name: String,

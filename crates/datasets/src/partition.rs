@@ -17,7 +17,7 @@ use rand_distr::{Dirichlet, Distribution};
 use crate::{DatasetError, Result};
 
 /// How client datasets are drawn from the global pool.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Partition {
     /// Uniform random split.
     Iid,

@@ -1,85 +1,97 @@
 //! Property-based tests of dataset generation and federated partitioning.
 
+#[path = "../../../tests/proptest_util.rs"]
+mod proptest_util;
+
 use fhdnn_datasets::batcher::Batcher;
 use fhdnn_datasets::features::FeatureSpec;
 use fhdnn_datasets::image::SynthSpec;
 use fhdnn_datasets::partition::{dirichlet, iid, shards, Partition};
-use proptest::prelude::*;
+use proptest_util::check;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn assert_exact_cover(parts: &[Vec<usize>], n: usize) -> Result<(), TestCaseError> {
+const CASES: usize = 24;
+
+fn assert_exact_cover(parts: &[Vec<usize>], n: usize, case: usize) {
     let mut all: Vec<usize> = parts.iter().flatten().copied().collect();
     all.sort_unstable();
-    prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-    Ok(())
+    assert_eq!(all, (0..n).collect::<Vec<_>>(), "case {case}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Every partition scheme assigns every sample to exactly one client.
-    #[test]
-    fn partitions_are_exact_covers(
-        seed in 0u64..500,
-        clients in 2usize..8,
-        per_client in 10usize..30,
-        scheme in 0usize..3
-    ) {
+/// Every partition scheme assigns every sample to exactly one client.
+#[test]
+fn partitions_are_exact_covers() {
+    check(0xDA7A_0001, CASES, |case, g| {
+        let mut rng = StdRng::seed_from_u64(g.usize_below(500) as u64);
+        let (clients, per_client) = (g.usize_in(2..8), g.usize_in(10..30));
         let n = clients * per_client;
         let labels: Vec<usize> = (0..n).map(|i| i % 10).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let parts = match scheme {
+        let parts = match g.usize_below(3) {
             0 => iid(n, clients, &mut rng).unwrap(),
             1 => shards(&labels, clients, 2, &mut rng).unwrap(),
             _ => dirichlet(&labels, clients, 0.5, &mut rng).unwrap(),
         };
-        prop_assert_eq!(parts.len(), clients);
-        assert_exact_cover(&parts, n)?;
-    }
+        assert_eq!(parts.len(), clients, "case {case}");
+        assert_exact_cover(&parts, n, case);
+    });
+}
 
-    /// IID splits are balanced to within one sample.
-    #[test]
-    fn iid_is_balanced(seed in 0u64..500, clients in 1usize..10, n in 20usize..100) {
-        prop_assume!(n >= clients);
-        let mut rng = StdRng::seed_from_u64(seed);
+/// IID splits are balanced to within one sample.
+#[test]
+fn iid_is_balanced() {
+    check(0xDA7A_0002, CASES, |case, g| {
+        let mut rng = StdRng::seed_from_u64(g.usize_below(500) as u64);
+        let (clients, n) = (g.usize_in(1..10), g.usize_in(20..100));
         let parts = iid(n, clients, &mut rng).unwrap();
         let min = parts.iter().map(Vec::len).min().unwrap();
         let max = parts.iter().map(Vec::len).max().unwrap();
-        prop_assert!(max - min <= 1, "sizes {min}..{max}");
-    }
+        assert!(max - min <= 1, "case {case}: sizes {min}..{max}");
+    });
+}
 
-    /// Partition enum dispatch matches the free functions' coverage.
-    #[test]
-    fn partition_enum_always_covers(seed in 0u64..200, alpha in 0.05f32..5.0) {
+/// Partition enum dispatch matches the free functions' coverage.
+#[test]
+fn partition_enum_always_covers() {
+    check(0xDA7A_0003, CASES, |case, g| {
+        let mut rng = StdRng::seed_from_u64(g.usize_below(200) as u64);
+        let alpha = g.f32_in(0.05, 5.0);
         let labels: Vec<usize> = (0..120).map(|i| i % 10).collect();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for p in [Partition::Iid, Partition::Shards(2), Partition::Dirichlet(alpha)] {
+        for p in [
+            Partition::Iid,
+            Partition::Shards(2),
+            Partition::Dirichlet(alpha),
+        ] {
             let parts = p.split(&labels, 4, &mut rng).unwrap();
-            assert_exact_cover(&parts, 120)?;
+            assert_exact_cover(&parts, 120, case);
         }
-    }
+    });
+}
 
-    /// Image generation is deterministic and label-balanced for any size.
-    #[test]
-    fn image_generation_invariants(n in 10usize..80, seed in 0u64..300) {
+/// Image generation is deterministic and label-balanced for any size.
+#[test]
+fn image_generation_invariants() {
+    check(0xDA7A_0004, CASES, |case, g| {
+        let (n, seed) = (g.usize_in(10..80), g.usize_below(300) as u64);
         let spec = SynthSpec::fashion_like();
         let a = spec.generate(n, seed).unwrap();
-        let b = spec.generate(n, seed).unwrap();
-        prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a.len(), n);
-        prop_assert_eq!(a.images.dims(), &[n, 1, 16, 16]);
+        assert_eq!(a, spec.generate(n, seed).unwrap(), "case {case}");
+        assert_eq!(a.len(), n);
+        assert_eq!(a.images.dims(), &[n, 1, 16, 16]);
         // Round-robin labels: counts differ by at most one.
         let counts: Vec<usize> = (0..10)
             .map(|c| a.labels.iter().filter(|&&l| l == c).count())
             .collect();
         let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
-        prop_assert!(max - min <= 1);
-    }
+        assert!(max - min <= 1, "case {case}: {counts:?}");
+    });
+}
 
-    /// Feature generation is deterministic with values of sane magnitude.
-    #[test]
-    fn feature_generation_invariants(n in 5usize..60, seed in 0u64..300) {
+/// Feature generation is deterministic with values of sane magnitude.
+#[test]
+fn feature_generation_invariants() {
+    check(0xDA7A_0005, CASES, |case, g| {
+        let (n, seed) = (g.usize_in(5..60), g.usize_below(300) as u64);
         let spec = FeatureSpec {
             num_classes: 7,
             width: 23,
@@ -87,34 +99,39 @@ proptest! {
             class_seed: 5,
         };
         let d = spec.generate(n, seed).unwrap();
-        prop_assert_eq!(d.features.dims(), &[n, 23]);
-        prop_assert!(d.labels.iter().all(|&l| l < 7));
-        prop_assert!(d.features.as_slice().iter().all(|v| v.is_finite()));
-    }
+        assert_eq!(d.features.dims(), &[n, 23], "case {case}");
+        assert!(d.labels.iter().all(|&l| l < 7), "case {case}");
+        assert!(d.features.as_slice().iter().all(|v| v.is_finite()));
+    });
+}
 
-    /// Batches cover every index exactly once per epoch, any batch size.
-    #[test]
-    fn batcher_epoch_is_a_permutation(
-        n in 1usize..100, batch in 0usize..20, seed in 0u64..300
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
+/// Batches cover every index exactly once per epoch, any batch size.
+#[test]
+fn batcher_epoch_is_a_permutation() {
+    check(0xDA7A_0006, CASES, |case, g| {
+        let (n, batch) = (g.usize_in(1..100), g.usize_in(0..20));
+        let mut rng = StdRng::seed_from_u64(g.usize_below(300) as u64);
         let mut all: Vec<usize> = Batcher::new(n, batch).epoch(&mut rng).flatten().collect();
         all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-    }
+        assert_eq!(all, (0..n).collect::<Vec<_>>(), "case {case}");
+    });
+}
 
-    /// Subset preserves labels and per-sample pixels.
-    #[test]
-    fn subset_preserves_content(seed in 0u64..200) {
-        let d = SynthSpec::mnist_like().generate(30, seed).unwrap();
+/// Subset preserves labels and per-sample pixels.
+#[test]
+fn subset_preserves_content() {
+    check(0xDA7A_0007, CASES, |case, g| {
+        let d = SynthSpec::mnist_like()
+            .generate(30, g.usize_below(200) as u64)
+            .unwrap();
         let idx = [0usize, 7, 7, 29];
         let s = d.subset(&idx).unwrap();
-        prop_assert_eq!(s.len(), 4);
+        assert_eq!(s.len(), 4);
         for (pos, &i) in idx.iter().enumerate() {
-            prop_assert_eq!(s.labels[pos], d.labels[i]);
+            assert_eq!(s.labels[pos], d.labels[i], "case {case}");
             let got = s.sample(pos).unwrap();
             let want = d.sample(i).unwrap();
-            prop_assert_eq!(got.as_slice(), want.as_slice());
+            assert_eq!(got.as_slice(), want.as_slice(), "case {case}");
         }
-    }
+    });
 }

@@ -7,12 +7,11 @@
 //! histories into exactly those quantities.
 
 use fhdnn_channel::lte::LteLink;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::RunHistory;
 
 /// Communication cost of one federated run toward a target accuracy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommReport {
     /// Run label.
     pub label: String,

@@ -1,7 +1,5 @@
 //! Federated hyperparameters — the paper's `E`, `B`, `C` (§4.2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FedError, Result};
 
 /// Which implementation of the binary-HD learner drives
@@ -13,7 +11,7 @@ use crate::{FedError, Result};
 /// (`tests/parity.rs` enforces this at several thread counts). The
 /// float (`Float`/`Quantized`) transports are unaffected by this
 /// switch: they always use the dense `f32` engine.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum HdExecution {
     /// The naive element-wise `i32` oracle
     /// (`fhdnn_hdc::packed::reference`): no packing, no SIMD — slow on
@@ -41,7 +39,7 @@ impl HdExecution {
 ///
 /// Field names follow the paper: `E` local epochs, `B` local batch size,
 /// `C` participating-client fraction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlConfig {
     /// Total number of clients `N`.
     pub num_clients: usize,
@@ -56,9 +54,7 @@ pub struct FlConfig {
     /// Master seed for client sampling and local shuffling.
     pub seed: u64,
     /// Binary-HD engine selection (see [`HdExecution`]); only consulted
-    /// by `HdTransport::Binary` rounds. `#[serde(default)]` keeps
-    /// configurations saved before this field existed loadable.
-    #[serde(default)]
+    /// by `HdTransport::Binary` rounds.
     pub execution: HdExecution,
 }
 

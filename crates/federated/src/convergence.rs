@@ -8,13 +8,11 @@
 //! exponent `p` (`≈ −1` for an `O(1/T)` process; closer to `0` for slow,
 //! erratic convergence).
 
-use serde::{Deserialize, Serialize};
-
 use crate::metrics::RunHistory;
 use crate::{FedError, Result};
 
 /// A fitted power law `y ≈ c · x^p` with its goodness of fit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawFit {
     /// Decay exponent `p` (negative for decaying curves).
     pub exponent: f64,

@@ -14,12 +14,10 @@
 //! and 90.55 s / 497.572 J (Jetson). The FHDnn rows are then *predictions*
 //! of the model, compared against the paper in EXPERIMENTS.md.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{FedError, Result};
 
 /// A device's sustained compute throughput and power draw.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Device name for reports.
     pub name: String,
@@ -70,7 +68,7 @@ impl DeviceProfile {
 }
 
 /// Estimated execution cost.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostEstimate {
     /// Wall-clock seconds.
     pub seconds: f64,

@@ -36,7 +36,6 @@ use fhdnn_hdc::simd::NARROW_MAX;
 use fhdnn_telemetry::Recorder;
 use fhdnn_tensor::Tensor;
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 
 use crate::config::{FlConfig, HdExecution};
 use crate::cost::hd_refine_flops;
@@ -48,7 +47,7 @@ use crate::round::{
 use crate::{FedError, Result};
 
 /// How an HD model is serialized on the uplink.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HdTransport {
     /// Raw float32 prototypes (analog/uncoded transmission; the AWGN and
     /// packet-loss settings).

@@ -2,7 +2,7 @@
 //!
 //! Each federated round distills the diagnostics computed by
 //! `fhdnn_hdc::health` plus the round's client-divergence and
-//! channel-damage attribution into one serde-stable [`HealthRecord`],
+//! channel-damage attribution into one wire-stable [`HealthRecord`],
 //! emitted as a flat `health.round` event through the telemetry sink. The
 //! JSONL stream is then enough to reconstruct the full health timeline
 //! offline ([`HealthRecord::from_event_fields`]) — which is exactly what
@@ -18,7 +18,6 @@ use fhdnn_telemetry::event::FieldValue;
 use fhdnn_telemetry::jsonl::Value;
 use fhdnn_telemetry::sketch::{QuantileSketch, TopK};
 use fhdnn_telemetry::Recorder;
-use serde::{Deserialize, Serialize};
 
 /// |z-score| at or above which a client is flagged an outlier in the
 /// record (the alert engine applies its own, typically equal, threshold).
@@ -30,12 +29,10 @@ pub const SATURATION_EPSILON: f32 = 0.02;
 
 /// One round's model-health flight record.
 ///
-/// Serde-stable: every field is `#[serde(default)]` via the struct-level
-/// attribute, so records written by older (or newer) versions with a
-/// different field set still deserialize — the same back-compat contract
-/// `RoundMetrics` follows.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
+/// Stable on the wire: [`HealthRecord::from_event_fields`] defaults
+/// every absent field, so records written by older (or newer) versions
+/// with a different field set still read.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HealthRecord {
     /// Round index (0-based).
     pub round: u64,
@@ -171,7 +168,7 @@ impl HealthRecord {
 
     /// Rebuilds a record from the `fields` object of a parsed
     /// `health.round` JSONL event ([`fhdnn_telemetry::jsonl`]). Missing
-    /// fields default, mirroring the serde contract; returns `None` only
+    /// fields default; returns `None` only
     /// if `fields` is not an object.
     pub fn from_event_fields(fields: &Value) -> Option<HealthRecord> {
         let obj = fields.as_obj()?;
@@ -571,7 +568,13 @@ mod tests {
         assert_eq!(rec.round, 2);
         assert_eq!(rec.test_accuracy, 0.5);
         assert_eq!(rec.engine, "");
+        assert_eq!(rec.saturation, 0.0);
         assert!(rec.outlier_clients.is_empty());
+        let empty = fhdnn_telemetry::jsonl::parse("{}").unwrap();
+        assert_eq!(
+            HealthRecord::from_event_fields(&empty),
+            Some(HealthRecord::default())
+        );
         assert!(HealthRecord::from_event_fields(&fhdnn_telemetry::jsonl::Value::Null).is_none());
     }
 

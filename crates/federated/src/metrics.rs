@@ -1,13 +1,7 @@
 //! Round-by-round run histories.
 
-use serde::{Deserialize, Serialize};
-
 /// Metrics recorded after one communication round.
-///
-/// `downlink_bytes_per_client` and `round_seconds` were added after the
-/// first release; both carry `#[serde(default)]` so histories saved in the
-/// old four-field shape still deserialize.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RoundMetrics {
     /// Round index (0-based).
     pub round: usize,
@@ -18,34 +12,26 @@ pub struct RoundMetrics {
     /// Bytes uploaded by each participant this round.
     pub bytes_per_client: u64,
     /// Bytes broadcast to each participant this round (global model).
-    #[serde(default)]
     pub downlink_bytes_per_client: u64,
     /// Wall-clock duration of the round in seconds.
-    #[serde(default)]
     pub round_seconds: f64,
     /// Peak heap bytes above the round-start level (tracked-allocator
     /// watermark); 0 when the build has no memory accounting.
-    #[serde(default)]
     pub mem_peak_bytes: u64,
     /// Heap allocations performed during the round (process-wide).
-    #[serde(default)]
     pub mem_allocs: u64,
     /// Gross bytes allocated during the round, divided by participants.
-    #[serde(default)]
     pub mem_bytes_per_client: u64,
     /// The client whose *simulated* AIoT cost (device compute + uplink
     /// airtime, see `cost`) bounded the round barrier. A pure function
     /// of the sampled participants, so part of run identity.
-    #[serde(default)]
     pub trace_critical_client: u64,
     /// Simulated wall time of the round in microseconds: slowest device
     /// compute, then arriving updates serialized over the shared link.
-    #[serde(default)]
     pub trace_sim_round_micros: u64,
     /// Measured pool-worker utilization for the round (Σ exec time /
     /// workers × busy span). Scheduling-dependent like `round_seconds`,
     /// and 0 when telemetry is disabled — excluded from equality.
-    #[serde(default)]
     pub trace_worker_utilization: f64,
 }
 
@@ -69,7 +55,7 @@ impl PartialEq for RoundMetrics {
 }
 
 /// The full history of a federated run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunHistory {
     /// Human-readable run label (dataset, model, channel, …).
     pub label: String,
@@ -208,34 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn old_four_field_shape_still_deserializes() {
-        // Histories saved before downlink/time accounting existed.
-        let old = r#"{"label":"legacy","rounds":[
-            {"round":0,"test_accuracy":0.5,"participants":2,"bytes_per_client":64}
-        ]}"#;
-        let h: RunHistory = serde_json::from_str(old).unwrap();
-        assert_eq!(h.rounds.len(), 1);
-        assert_eq!(h.rounds[0].downlink_bytes_per_client, 0);
-        assert_eq!(h.rounds[0].round_seconds, 0.0);
-        assert_eq!(h.total_bytes(), 2 * 64);
-    }
-
-    #[test]
-    fn pre_trace_shape_still_deserializes() {
-        // Histories saved before PR 7's execution tracing: all trace_*
-        // fields default to zero.
-        let old = r#"{"label":"pre-trace","rounds":[
-            {"round":0,"test_accuracy":0.5,"participants":2,"bytes_per_client":64,
-             "downlink_bytes_per_client":32,"round_seconds":0.1,
-             "mem_peak_bytes":1,"mem_allocs":2,"mem_bytes_per_client":3}
-        ]}"#;
-        let h: RunHistory = serde_json::from_str(old).unwrap();
-        assert_eq!(h.rounds[0].trace_critical_client, 0);
-        assert_eq!(h.rounds[0].trace_sim_round_micros, 0);
-        assert_eq!(h.rounds[0].trace_worker_utilization, 0.0);
-    }
-
-    #[test]
     fn empty_history_defaults() {
         let h = RunHistory::new("empty");
         assert_eq!(h.final_accuracy(), 0.0);
@@ -244,14 +202,6 @@ mod tests {
         assert_eq!(h.total_uplink_bytes(), 0);
         assert_eq!(h.rounds_to_accuracy(0.0), None);
         assert_eq!(h.bytes_per_client_to_accuracy(0.0), None);
-    }
-
-    #[test]
-    fn empty_history_serde_round_trip() {
-        let h = RunHistory::new("empty");
-        let json = serde_json::to_string(&h).unwrap();
-        let back: RunHistory = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, h);
     }
 
     #[test]
@@ -266,69 +216,5 @@ mod tests {
         assert_eq!(h.rounds_to_accuracy(0.0), Some(1));
         // NaN compares false against everything: never reached, not a panic.
         assert_eq!(h.rounds_to_accuracy(f32::NAN), None);
-    }
-
-    #[test]
-    fn health_record_serde_round_trip() {
-        use crate::health::HealthRecord;
-        let rec = HealthRecord {
-            round: 5,
-            engine: "fedhd".into(),
-            test_accuracy: 0.875,
-            participants: 8,
-            arrived: 7,
-            norm_min: 0.5,
-            norm_max: 3.0,
-            norm_mean: 1.2,
-            saturation: 0.03,
-            cosine_margin: 0.9,
-            sign_flip_rate: 0.01,
-            mean_divergence: 0.2,
-            max_abs_z: 2.1,
-            outlier_clients: vec![3],
-            bits_flipped: 100,
-            dims_erased: 5,
-            packets_dropped: 2,
-            noise_energy: 1.5,
-            mem_peak_bytes: 1 << 20,
-            mem_allocs: 512,
-            mem_bytes_per_client: 4096,
-            div_p50: 0.18,
-            div_p95: 0.31,
-            div_p99: 0.42,
-            uplink_p99_bytes: 8192,
-            damage_p99: 33,
-            sim_compute_p99_micros: 120_000,
-            cohort_clients: 64,
-            exemplars: "div:3:2.1000|dmg:5:33|crit:2:130000".into(),
-            trace_dropped: 1,
-        };
-        let json = serde_json::to_string(&rec).unwrap();
-        let back: HealthRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, rec);
-    }
-
-    #[test]
-    fn health_record_back_compat_defaults() {
-        use crate::health::HealthRecord;
-        // A record written by an older (or trimmed) producer: every absent
-        // field must default rather than fail, mirroring RoundMetrics.
-        let minimal = r#"{"round":1,"test_accuracy":0.75}"#;
-        let rec: HealthRecord = serde_json::from_str(minimal).unwrap();
-        assert_eq!(rec.round, 1);
-        assert_eq!(rec.test_accuracy, 0.75);
-        assert_eq!(rec.engine, "");
-        assert_eq!(rec.saturation, 0.0);
-        assert!(rec.outlier_clients.is_empty());
-        let empty: HealthRecord = serde_json::from_str("{}").unwrap();
-        assert_eq!(empty, HealthRecord::default());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let h = history();
-        let json = serde_json::to_string(&h).unwrap();
-        let back: RunHistory = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, h);
     }
 }

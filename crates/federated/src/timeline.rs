@@ -8,14 +8,13 @@
 //! serialized uplink airtime (LTE model).
 
 use fhdnn_channel::lte::LteLink;
-use serde::{Deserialize, Serialize};
 
 use crate::cost::DeviceProfile;
 use crate::metrics::RunHistory;
 use crate::Result;
 
 /// Timing of one federated round within a campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundTiming {
     /// Round index (0-based).
     pub round: usize,
@@ -30,7 +29,7 @@ pub struct RoundTiming {
 }
 
 /// A reconstructed campaign timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignTimeline {
     /// Run label.
     pub label: String,

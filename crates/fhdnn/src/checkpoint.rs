@@ -3,8 +3,19 @@
 //! A deployment is fully determined by (a) the backbone architecture
 //! descriptor plus its trained parameters and batch-norm running
 //! statistics, (b) the shared random-projection encoder, and (c) the
-//! global HD model. The checkpoint is plain JSON, so artifacts can be
-//! inspected, diffed, and shipped to edge devices with no custom tooling.
+//! global HD model. The one checkpoint format is little-endian binary,
+//! the raw floats plus 89 bytes of framing, sized for flash-constrained
+//! edge devices:
+//!
+//! ```text
+//! magic "FHDN" | u32 version | u8 arch | u32 in_channels | u32 base_width
+//! | u32 blocks_per_stage | section(trunk_params) | section(trunk_running)
+//! | matrix(phi) | matrix(prototypes) | u32 crc32(all preceding bytes)
+//! ```
+//!
+//! where `section(x)` is `u64 len | len × f32` and `matrix(m)` is
+//! `u64 rows | u64 cols | section(m)`. The trailing CRC-32 detects
+//! truncation and corruption.
 //!
 //! # Example
 //!
@@ -22,29 +33,31 @@
 //! let hd = HdModel::new(10, 256)?;
 //!
 //! let ckpt = FhdnnCheckpoint::capture(TrunkArch::ResNet, backbone, &extractor, &encoder, &hd)?;
-//! let json = ckpt.to_json()?;
-//! let restored = FhdnnCheckpoint::from_json(&json)?;
+//! let bytes = ckpt.to_bytes();
+//! let restored = FhdnnCheckpoint::from_bytes(&bytes)?;
+//! assert_eq!(restored.to_bytes(), bytes);
 //! let (mut ex2, _enc2, _hd2) = restored.restore()?;
 //! assert_eq!(ex2.feature_width(), extractor.feature_width());
 //! # Ok(())
 //! # }
 //! ```
 
+use fhdnn_channel::packetizer::crc32;
 use fhdnn_hdc::encoder::RandomProjectionEncoder;
 use fhdnn_hdc::model::HdModel;
 use fhdnn_nn::models::{build_trunk, resnet_feature_width, ResNetConfig, TrunkArch};
+use fhdnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::extractor::FeatureExtractor;
 use crate::{FhdnnError, Result};
 
-/// Serializable backbone architecture descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Backbone architecture descriptor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackboneDescriptor {
     /// Trunk family.
-    pub arch: ArchTag,
+    pub arch: TrunkArch,
     /// Input channels.
     pub in_channels: usize,
     /// Base width.
@@ -53,36 +66,8 @@ pub struct BackboneDescriptor {
     pub blocks_per_stage: usize,
 }
 
-/// Serializable trunk-architecture tag (mirrors
-/// [`fhdnn_nn::models::TrunkArch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ArchTag {
-    /// Residual trunk.
-    ResNet,
-    /// Depthwise-separable trunk.
-    MobileNet,
-}
-
-impl From<TrunkArch> for ArchTag {
-    fn from(a: TrunkArch) -> Self {
-        match a {
-            TrunkArch::ResNet => ArchTag::ResNet,
-            TrunkArch::MobileNet => ArchTag::MobileNet,
-        }
-    }
-}
-
-impl From<ArchTag> for TrunkArch {
-    fn from(a: ArchTag) -> Self {
-        match a {
-            ArchTag::ResNet => TrunkArch::ResNet,
-            ArchTag::MobileNet => TrunkArch::MobileNet,
-        }
-    }
-}
-
 /// A complete, self-describing FHDnn deployment snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FhdnnCheckpoint {
     /// Format version for forward compatibility.
     pub version: u32,
@@ -100,6 +85,88 @@ pub struct FhdnnCheckpoint {
 
 /// Current checkpoint format version.
 pub const CHECKPOINT_VERSION: u32 = 1;
+
+const MAGIC: &[u8; 4] = b"FHDN";
+
+fn put_section(buf: &mut Vec<u8>, values: &[f32]) {
+    buf.extend_from_slice(&(values.len() as u64).to_le_bytes());
+    for v in values {
+        buf.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+fn put_matrix(buf: &mut Vec<u8>, matrix: &Tensor) {
+    for &dim in matrix.dims() {
+        buf.extend_from_slice(&(dim as u64).to_le_bytes());
+    }
+    put_section(buf, matrix.as_slice());
+}
+
+struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+        if n > self.data.len() - self.pos {
+            return Err(FhdnnError::InvalidArgument(format!(
+                "truncated checkpoint: wanted {n} bytes at offset {}",
+                self.pos
+            )));
+        }
+        let out = &self.data[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(out)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let bytes = self.take(N)?;
+        Ok(bytes.try_into().expect("take returned N bytes"))
+    }
+
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    /// A length the file supplies, as an index type.
+    fn len(&mut self) -> Result<usize> {
+        let n = u64::from_le_bytes(self.array()?);
+        usize::try_from(n)
+            .map_err(|_| FhdnnError::InvalidArgument(format!("length {n} exceeds address space")))
+    }
+
+    fn section(&mut self) -> Result<Vec<f32>> {
+        let len = self.len()?;
+        // Bound the length by the bytes present before multiplying or
+        // allocating for it.
+        if len > (self.data.len() - self.pos) / 4 {
+            return Err(FhdnnError::InvalidArgument(format!(
+                "truncated checkpoint: section of {len} floats at offset {}",
+                self.pos
+            )));
+        }
+        let bytes = self.take(len * 4)?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| f32::from_le_bytes(c.try_into().expect("chunks of four")))
+            .collect())
+    }
+
+    /// `u64 rows | u64 cols | section` holding exactly `rows × cols`
+    /// floats.
+    fn matrix(&mut self, what: &str) -> Result<Tensor> {
+        let (rows, cols) = (self.len()?, self.len()?);
+        let values = self.section()?;
+        if rows.checked_mul(cols) != Some(values.len()) {
+            return Err(FhdnnError::InvalidArgument(format!(
+                "{what} section holds {} floats for a [{rows}, {cols}] matrix",
+                values.len()
+            )));
+        }
+        Ok(Tensor::from_vec(values, &[rows, cols])?)
+    }
+}
 
 impl FhdnnCheckpoint {
     /// Captures a deployment snapshot from live components.
@@ -135,7 +202,7 @@ impl FhdnnCheckpoint {
         Ok(FhdnnCheckpoint {
             version: CHECKPOINT_VERSION,
             backbone: BackboneDescriptor {
-                arch: arch.into(),
+                arch,
                 in_channels: backbone.in_channels,
                 base_width: backbone.base_width,
                 blocks_per_stage: backbone.blocks_per_stage,
@@ -167,36 +234,111 @@ impl FhdnnCheckpoint {
         };
         // Seed is irrelevant: every parameter is overwritten below.
         let mut rng = StdRng::seed_from_u64(0);
-        let mut trunk = build_trunk(self.backbone.arch.into(), config, &mut rng)?;
+        let mut trunk = build_trunk(self.backbone.arch, config, &mut rng)?;
         trunk.load_params(&self.trunk_params)?;
         trunk.load_running_state(&self.trunk_running)?;
         let extractor = FeatureExtractor::from_pretrained(trunk, resnet_feature_width(&config))?;
         Ok((extractor, self.encoder.clone(), self.hd.clone()))
     }
 
-    /// Serializes the checkpoint to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if serialization fails (it cannot for this type).
-    pub fn to_json(&self) -> Result<String> {
-        serde_json::to_string(self)
-            .map_err(|e| FhdnnError::InvalidArgument(format!("serialize checkpoint: {e}")))
+    /// Serializes the checkpoint into the binary format.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&self.version.to_le_bytes());
+        buf.push(match self.backbone.arch {
+            TrunkArch::ResNet => 0,
+            TrunkArch::MobileNet => 1,
+        });
+        buf.extend_from_slice(&(self.backbone.in_channels as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.backbone.base_width as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.backbone.blocks_per_stage as u32).to_le_bytes());
+        put_section(&mut buf, &self.trunk_params);
+        put_section(&mut buf, &self.trunk_running);
+        put_matrix(&mut buf, self.encoder.phi());
+        put_matrix(&mut buf, self.hd.prototypes());
+        let crc = crc32(&buf);
+        buf.extend_from_slice(&crc.to_le_bytes());
+        buf
     }
 
-    /// Deserializes a checkpoint from JSON.
+    /// Parses a checkpoint from the binary format.
     ///
     /// # Errors
     ///
-    /// Returns an error on malformed input.
-    pub fn from_json(json: &str) -> Result<Self> {
-        serde_json::from_str(json)
-            .map_err(|e| FhdnnError::InvalidArgument(format!("parse checkpoint: {e}")))
+    /// Returns an error on bad magic, CRC mismatch, unsupported version,
+    /// truncation, section lengths that disagree with their matrix
+    /// header, or bytes left over after the last section.
+    pub fn from_bytes(data: &[u8]) -> Result<Self> {
+        if !data.starts_with(MAGIC) {
+            return Err(FhdnnError::InvalidArgument(
+                "not an FHDnn checkpoint (bad magic)".into(),
+            ));
+        }
+        if data.len() < 8 {
+            return Err(FhdnnError::InvalidArgument("checkpoint too short".into()));
+        }
+        let (body, crc_bytes) = data.split_at(data.len() - 4);
+        if crc32(body).to_le_bytes() != crc_bytes {
+            return Err(FhdnnError::InvalidArgument(
+                "checkpoint CRC mismatch: file corrupted or truncated".into(),
+            ));
+        }
+        let mut r = Reader {
+            data: body,
+            pos: MAGIC.len(),
+        };
+        let version = r.u32()?;
+        if version != CHECKPOINT_VERSION {
+            return Err(FhdnnError::InvalidArgument(format!(
+                "unsupported checkpoint version {version}"
+            )));
+        }
+        let arch = match r.array::<1>()?[0] {
+            0 => TrunkArch::ResNet,
+            1 => TrunkArch::MobileNet,
+            other => {
+                return Err(FhdnnError::InvalidArgument(format!(
+                    "unknown architecture tag {other}"
+                )))
+            }
+        };
+        let in_channels = r.u32()? as usize;
+        let base_width = r.u32()? as usize;
+        let blocks_per_stage = r.u32()? as usize;
+        let trunk_params = r.section()?;
+        let trunk_running = r.section()?;
+        let encoder = RandomProjectionEncoder::from_matrix(r.matrix("encoder")?)?;
+        let hd = HdModel::from_prototypes(r.matrix("hd")?)?;
+        if r.pos != body.len() {
+            return Err(FhdnnError::InvalidArgument(format!(
+                "{} bytes after the last checkpoint section",
+                body.len() - r.pos
+            )));
+        }
+        Ok(FhdnnCheckpoint {
+            version,
+            backbone: BackboneDescriptor {
+                arch,
+                in_channels,
+                base_width,
+                blocks_per_stage,
+            },
+            trunk_params,
+            trunk_running,
+            encoder,
+            hd,
+        })
     }
 }
 
 #[cfg(test)]
+#[path = "../../../tests/proptest_util.rs"]
+mod proptest_util;
+
+#[cfg(test)]
 mod tests {
+    use super::proptest_util::{check, Gen};
     use super::*;
     use fhdnn_datasets::image::SynthSpec;
     use fhdnn_tensor::Tensor;
@@ -227,8 +369,8 @@ mod tests {
         let ckpt =
             FhdnnCheckpoint::capture(TrunkArch::ResNet, backbone(), &extractor, &encoder, &hd)
                 .unwrap();
-        let json = ckpt.to_json().unwrap();
-        let restored = FhdnnCheckpoint::from_json(&json).unwrap();
+        let restored = FhdnnCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+        assert_eq!(restored, ckpt);
         let (mut ex2, enc2, hd2) = restored.restore().unwrap();
 
         let test = SynthSpec::mnist_like().generate(30, 9).unwrap();
@@ -273,21 +415,155 @@ mod tests {
 
     #[test]
     fn unknown_version_rejected() {
-        let (extractor, encoder, hd) = trained_setup();
-        let mut ckpt =
-            FhdnnCheckpoint::capture(TrunkArch::ResNet, backbone(), &extractor, &encoder, &hd)
-                .unwrap();
+        let mut ckpt = small_checkpoint();
         ckpt.version = 99;
         assert!(ckpt.restore().is_err());
     }
 
     #[test]
     fn corrupted_params_rejected() {
-        let (extractor, encoder, hd) = trained_setup();
-        let mut ckpt =
-            FhdnnCheckpoint::capture(TrunkArch::ResNet, backbone(), &extractor, &encoder, &hd)
-                .unwrap();
+        let mut ckpt = small_checkpoint();
         ckpt.trunk_params.pop();
         assert!(ckpt.restore().is_err());
+    }
+
+    fn small_checkpoint() -> FhdnnCheckpoint {
+        let extractor = FeatureExtractor::random(backbone(), 3).unwrap();
+        let encoder = RandomProjectionEncoder::new(128, extractor.feature_width(), 5).unwrap();
+        let hd = HdModel::new(10, 128).unwrap();
+        FhdnnCheckpoint::capture(TrunkArch::ResNet, backbone(), &extractor, &encoder, &hd).unwrap()
+    }
+
+    /// Recomputes the trailing CRC so only the edited field is wrong.
+    fn restamp(bytes: &mut [u8]) {
+        let n = bytes.len();
+        let crc = crc32(&bytes[..n - 4]);
+        bytes[n - 4..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    #[test]
+    fn corruption_is_detected() {
+        let mut bytes = small_checkpoint().to_bytes();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        assert!(FhdnnCheckpoint::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn truncation_is_detected() {
+        let bytes = small_checkpoint().to_bytes();
+        assert!(FhdnnCheckpoint::from_bytes(&bytes[..bytes.len() - 10]).is_err());
+        assert!(FhdnnCheckpoint::from_bytes(&bytes[..4]).is_err());
+        assert!(FhdnnCheckpoint::from_bytes(b"nope").is_err());
+    }
+
+    #[test]
+    fn bad_magic_rejected() {
+        let mut bytes = small_checkpoint().to_bytes();
+        bytes[0] = b'X';
+        restamp(&mut bytes);
+        let err = FhdnnCheckpoint::from_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("magic"), "{err}");
+    }
+
+    #[test]
+    fn overflowing_matrix_header_is_an_error() {
+        // Multiplied unchecked, `2^63 × 2` panics in debug and wraps to 0
+        // in release, where it would match the empty section.
+        let ckpt = small_checkpoint();
+        let bytes = ckpt.to_bytes();
+        let hd_floats = ckpt.hd.num_classes() * ckpt.hd.dim();
+        let header = bytes.len() - 4 - hd_floats * 4 - 8 - 16;
+        let mut bad = bytes[..header].to_vec();
+        bad.extend_from_slice(&(1u64 << 63).to_le_bytes());
+        bad.extend_from_slice(&2u64.to_le_bytes());
+        bad.extend_from_slice(&0u64.to_le_bytes());
+        bad.extend_from_slice(&[0; 4]);
+        restamp(&mut bad);
+        let err = FhdnnCheckpoint::from_bytes(&bad).unwrap_err();
+        assert!(err.to_string().contains("hd section"), "{err}");
+    }
+
+    #[test]
+    fn trailing_bytes_rejected() {
+        let mut bytes = small_checkpoint().to_bytes();
+        bytes.extend_from_slice(&[0; 4]);
+        restamp(&mut bytes);
+        let err = FhdnnCheckpoint::from_bytes(&bytes).unwrap_err();
+        assert!(err.to_string().contains("after the last"), "{err}");
+    }
+
+    /// Mutation wall over the one checkpoint decoder: truncations, byte
+    /// flips, spliced ranges and rewritten length fields, most of them with
+    /// a valid CRC. Decoding never panics, and whatever it accepts is
+    /// exactly what `to_bytes` would write — no field is read loosely.
+    #[test]
+    fn mutated_checkpoints_error_or_round_trip_exactly() {
+        let ckpt = small_checkpoint();
+        let valid = ckpt.to_bytes();
+
+        // Offsets of the eight u64 length fields: two section lengths, then
+        // `rows | cols | len` of the encoder and of the HD model.
+        let running = 21 + 8 + 4 * ckpt.trunk_params.len();
+        let enc = running + 8 + 4 * ckpt.trunk_running.len();
+        let hd_at = enc + 24 + 4 * ckpt.encoder.phi().len();
+        assert_eq!(hd_at + 24 + 4 * ckpt.hd.prototypes().len() + 4, valid.len());
+        let mut lengths = vec![21, running];
+        lengths.extend([enc, hd_at].iter().flat_map(|at| [*at, at + 8, at + 16]));
+
+        let hostile_length = |g: &mut Gen, old: u64| match g.usize_below(6) {
+            0 => [0, 2, 1 << 32, 1 << 63, u64::MAX][g.usize_below(5)],
+            1 => old.wrapping_add(1),
+            2 => old.wrapping_sub(1),
+            _ => g.next_u64() >> g.usize_below(64),
+        };
+        let (mut accepted, mut rejected) = (0, 0);
+        check(0xC4EC_4B17, 3_000, |case, g| {
+            let mut bytes = valid.clone();
+            for _ in 0..g.usize_in(1..4) {
+                match g.usize_below(5) {
+                    0 => bytes.truncate(g.usize_below(bytes.len() + 1)),
+                    1 if !bytes.is_empty() => {
+                        let at = g.usize_below(bytes.len());
+                        bytes[at] ^= 1 << g.usize_below(8);
+                    }
+                    2 if !bytes.is_empty() => {
+                        // Cut a range out, or splice a copy of it back in.
+                        let start = g.usize_below(bytes.len());
+                        let end = (start + g.usize_below(64)).min(bytes.len());
+                        if g.bool() {
+                            bytes.drain(start..end);
+                        } else {
+                            let copy = bytes[start..end].to_vec();
+                            bytes.splice(start..start, copy);
+                        }
+                    }
+                    _ => {
+                        // Rewrite one length field, sometimes a second so
+                        // that a matrix header's product is hostile too.
+                        for _ in 0..g.usize_in(1..3) {
+                            let at = lengths[g.usize_below(lengths.len())];
+                            if let Some(field) = bytes.get_mut(at..at + 8) {
+                                let old = u64::from_le_bytes(field.try_into().unwrap());
+                                field.copy_from_slice(&hostile_length(g, old).to_le_bytes());
+                            }
+                        }
+                    }
+                }
+            }
+            if g.usize_below(8) != 0 && bytes.len() >= 4 {
+                restamp(&mut bytes);
+            }
+            match FhdnnCheckpoint::from_bytes(&bytes) {
+                Ok(c) => {
+                    accepted += 1;
+                    assert_eq!(c.to_bytes(), bytes, "case {case}: loose decode");
+                }
+                Err(_) => rejected += 1,
+            }
+        });
+        // Both outcomes are exercised: float-payload flips under a fresh
+        // CRC decode, everything structural is refused.
+        assert!(accepted > 50 && rejected > 1_000, "{accepted} / {rejected}");
     }
 }

@@ -21,14 +21,13 @@ use fhdnn_nn::models::{resnet_feature_width, resnet_lite, ResNetConfig, TrunkArc
 use fhdnn_telemetry::{Recorder, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::extractor::FeatureExtractor;
 use crate::system::FhdnnSystem;
 use crate::Result;
 
 /// Which synthetic corpus an experiment runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Workload {
     /// The MNIST stand-in (easy, grayscale).
     Mnist,

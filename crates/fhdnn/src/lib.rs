@@ -52,7 +52,6 @@
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
-mod checkpoint_binary;
 mod error;
 pub mod experiment;
 pub mod extractor;

@@ -9,12 +9,11 @@
 use fhdnn_tensor::{init, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::{HdcError, Result};
 
 /// Encoder mapping `n`-wide features into `d`-dimensional hypervectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RandomProjectionEncoder {
     /// Projection matrix `Φ`, `[d, n]`, rows on the unit sphere.
     phi: Tensor,
@@ -74,46 +73,6 @@ impl RandomProjectionEncoder {
     /// The projection matrix `Φ`, `[d, n]`.
     pub fn phi(&self) -> &Tensor {
         &self.phi
-    }
-
-    /// Replaces the given projection rows with fresh random directions on
-    /// the unit sphere — the primitive behind dimension regeneration
-    /// (NeuralHD-style): low-contributing hyperdimensions are re-pointed
-    /// so retraining can use them productively.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HdcError::InvalidArgument`] if any index is out of range.
-    pub fn regenerate_rows<R: rand::Rng + ?Sized>(
-        &mut self,
-        indices: &[usize],
-        rng: &mut R,
-    ) -> Result<()> {
-        use rand_distr::{Distribution, StandardNormal};
-        for &i in indices {
-            if i >= self.dim {
-                return Err(HdcError::InvalidArgument(format!(
-                    "row {i} out of range for d={}",
-                    self.dim
-                )));
-            }
-            let row = self.phi.row_mut(i)?;
-            let mut norm = 0.0f32;
-            for v in row.iter_mut() {
-                let z: f32 = StandardNormal.sample(rng);
-                *v = z;
-                norm += z * z;
-            }
-            let norm = norm.sqrt();
-            if norm > 0.0 {
-                for v in row.iter_mut() {
-                    *v /= norm;
-                }
-            } else {
-                row[0] = 1.0;
-            }
-        }
-        Ok(())
     }
 
     /// Hypervector dimensionality `d`.

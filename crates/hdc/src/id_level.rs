@@ -15,12 +15,11 @@
 use fhdnn_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::{HdcError, Result};
 
 /// ID–level encoder for fixed-width feature vectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IdLevelEncoder {
     /// Per-feature ID hypervectors, `[n, d]`, bipolar.
     ids: Tensor,

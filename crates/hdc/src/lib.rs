@@ -62,7 +62,6 @@ pub mod model;
 pub mod ops;
 pub mod packed;
 pub mod quantizer;
-pub mod regen;
 #[allow(unsafe_code)]
 pub mod simd;
 

@@ -3,7 +3,6 @@
 
 use fhdnn_tensor::linalg::matmul_nt_into;
 use fhdnn_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 use crate::{HdcError, Result};
 
@@ -64,7 +63,7 @@ fn cosine(dot: f32, p_norm: f32, h_norm: f32) -> f32 {
 /// The complete model `C = [c_1; …; c_K]` is exactly the object a FHDnn
 /// client transmits each round; it stays integer-valued because training
 /// only ever adds or subtracts bipolar (±1) sample hypervectors.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HdModel {
     /// Class prototypes, `[num_classes, dim]`.
     prototypes: Tensor,
@@ -886,15 +885,5 @@ mod tests {
         assert!(HdModel::from_bipolar(&[1, -1], 2, 2).is_err());
         let m = HdModel::from_bipolar(&[1, -1, 0, 1], 2, 2).unwrap();
         assert_eq!(m.prototypes().as_slice(), &[1.0, -1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let (h, labels) = toy_encoded(20, 6);
-        let mut model = HdModel::new(4, 2048).unwrap();
-        model.one_shot_train(&h, &labels).unwrap();
-        let json = serde_json::to_string(&model).unwrap();
-        let back: HdModel = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, model);
     }
 }

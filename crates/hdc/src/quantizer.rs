@@ -13,13 +13,11 @@
 //! so the *ratio* between original and corrupted parameter — what the
 //! normalized dot-product prediction actually depends on — stays small.
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::HdModel;
 use crate::{HdcError, Result};
 
 /// A quantized HD model in transit: per-class integer words plus gains.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedModel {
     /// Integer words, row-major `[num_classes * dim]`, each within
     /// `[-(2^{B-1}-1), 2^{B-1}-1]`.

@@ -170,7 +170,7 @@ impl SchemaBaseline {
     /// writes). Struct order is preserved from the caller, which sorts.
     pub fn render(&self) -> String {
         let mut out = String::from(
-            "# lint-schema.toml — generated serde schema baseline.\n\
+            "# lint-schema.toml — generated baseline of record fields.\n\
              # Regenerate with `fhdnn lint --fix-baseline` after an\n\
              # intentional schema change; review the diff in the PR.\n",
         );

@@ -14,7 +14,7 @@
 //! | `concurrency/*` | every atomic op justifies its ordering; task fan-out derives RNG streams via `split_seed` |
 //! | `panic/*`       | hot-path indexing/division carries a `// BOUNDS:` justification |
 //! | `telemetry/*`   | metric names round-trip through the compiled registry |
-//! | `schema/*`      | serde-facing structs match the committed baseline |
+//! | `schema/*`      | record fields match the committed baseline |
 //!
 //! Suppression is always explicit and justified: inline
 //! `// lint: allow(rule/id) reason` markers for single lines, or

@@ -79,7 +79,7 @@ fn atomic_ordering(file: &SourceFile, index: &ItemIndex, out: &mut Vec<RawFindin
                 .filter(|o| contains_word(args, o))
                 .collect();
             if used.is_empty() {
-                continue; // not an atomic call (Vec::swap, serde load, ...)
+                continue; // not an atomic call (Vec::swap, a file load, ...)
             }
             let line = file.line_of(at);
             if file.allowed_inline(line, "concurrency/atomic-ordering") {

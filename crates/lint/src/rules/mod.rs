@@ -175,7 +175,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "schema/drift",
         default_severity: Severity::Error,
-        help: "serde struct fields differ from the committed lint-schema.toml baseline",
+        help: "record fields differ from the committed lint-schema.toml baseline",
         rationale: "RoundMetrics/HealthRecord/ChannelStatsSnapshot are parsed from recorded \
                     JSONL by fhdnn watch and notebooks; a silent field rename breaks every \
                     consumer of existing recordings, so changes must be visible as a \

@@ -1,4 +1,4 @@
-//! `schema/*` — serde-facing structs are frozen against a committed
+//! `schema/*` — wire-facing record structs are frozen against a committed
 //! baseline.
 //!
 //! `RoundMetrics`, `HealthRecord`, and `ChannelStatsSnapshot` are
@@ -117,7 +117,7 @@ fn join(items: &[&String]) -> String {
 
 /// Field names of `struct <name> { ... }` in stripped code, in
 /// declaration order. `None` if the struct is absent or has no brace
-/// body (tuple/unit structs have no stable serde field names to pin).
+/// body (tuple/unit structs have no field names to pin).
 fn struct_fields(code: &str, name: &str) -> Option<Vec<String>> {
     let bytes = code.as_bytes();
     let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';

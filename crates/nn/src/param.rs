@@ -1,5 +1,4 @@
 use fhdnn_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: a value tensor and its accumulated gradient.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(p.grad.sum(), 0.0);
 /// p.zero_grad();
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Current parameter value.
     pub value: Tensor,

@@ -1,15 +1,19 @@
-//! A minimal JSON reader for telemetry's own JSONL output.
+//! The workspace's one JSON codec.
 //!
-//! The crate stays free of external dependencies, so replaying a recorded
-//! `--telemetry` stream needs a small parser of its own. [`parse`] is a
-//! strict recursive-descent parser over the full JSON grammar — objects,
-//! arrays, strings with escapes, numbers, booleans, null — kept
-//! deliberately tiny (no borrowed-slice zero-copy tricks, no streaming)
-//! because telemetry lines are short and parsed once. [`read_records`]
-//! is the one stream reader every replay view sits on: the inverse of
-//! [`crate::event::Event::to_json`], line by line.
+//! The workspace has no JSON dependency, so replaying a recorded
+//! `--telemetry` stream and reading or writing a `results/*.json` report
+//! go through this module. [`parse`] is a strict recursive-descent parser
+//! over the full JSON grammar — objects, arrays, strings with escapes,
+//! numbers, booleans, null — kept deliberately tiny (no borrowed-slice
+//! zero-copy tricks, no streaming) because the documents are short and
+//! parsed once. [`Value`]'s `Display` is the writer: `{}` compact, `{:#}`
+//! indented. [`read_records`] is the one stream reader every replay view
+//! sits on: the inverse of [`crate::event::Event::to_json`], line by line.
 
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
+
+use crate::event::write_json_string;
 
 /// A parsed JSON value. Numbers are uniformly `f64`, which is lossless
 /// for every field telemetry itself emits (timestamps and durations stay
@@ -58,6 +62,68 @@ impl Value {
     /// Looks up `key` in an object value.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.as_obj().and_then(|m| m.get(key))
+    }
+
+    /// Appends the JSON form: on one line for `indent == None`, else one
+    /// member per line, two spaces a level, starting at that level.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|level| level + 1);
+        let newline = |out: &mut String, level: Option<usize>| {
+            if let Some(level) = level {
+                out.push('\n');
+                out.extend(std::iter::repeat_n("  ", level));
+            }
+        };
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // JSON has no NaN/Infinity literal. `{:?}` is the shortest
+            // text that parses back to the same bits (`1.0`, `1e21`).
+            Value::Num(n) if !n.is_finite() => out.push_str("null"),
+            Value::Num(n) => {
+                let _ = write!(out, "{n:?}");
+            }
+            Value::Str(s) => write_json_string(out, s),
+            Value::Arr(items) if items.is_empty() => out.push_str("[]"),
+            Value::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, inner);
+                    item.write(out, inner);
+                }
+                newline(out, indent);
+                out.push(']');
+            }
+            Value::Obj(map) if map.is_empty() => out.push_str("{}"),
+            Value::Obj(map) => {
+                out.push('{');
+                for (i, (key, value)) in map.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    newline(out, inner);
+                    write_json_string(out, key);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    value.write(out, inner);
+                }
+                newline(out, indent);
+                out.push('}');
+            }
+        }
+    }
+}
+
+/// The JSON text of the value, keys in sorted order: `{}` writes it on
+/// one line, `{:#}` one member per line with two-space indentation.
+/// Non-finite numbers become `null`, so the output always parses.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out, f.alternate().then_some(0));
+        f.write_str(&out)
     }
 }
 
@@ -413,6 +479,57 @@ mod tests {
             });
             assert_eq!((seen, skipped), (1, 0), "case {case}: {line}");
         });
+    }
+
+    /// A random document: every variant, nesting up to `depth`, the
+    /// same awkward text as [`random_event`], any finite number.
+    fn random_value(g: &mut Gen, depth: usize) -> Value {
+        const TEXT: [&str; 5] = ["", "k", "quo\"te\\", "line\n\u{1}\u{7f}", "é😀"];
+        let text = |g: &mut Gen| TEXT[g.usize_below(TEXT.len())].to_string();
+        match g.usize_below(if depth == 0 { 5 } else { 7 }) {
+            0 => Value::Null,
+            1 => Value::Bool(g.bool()),
+            2 => Value::Num((g.next_u64() >> g.usize_below(64)) as f64),
+            // One exponent bit cleared: any finite value, never NaN or ±inf.
+            3 => Value::Num(f64::from_bits(g.next_u64() & !(1 << 62))),
+            4 => Value::Str(text(g)),
+            5 => Value::Arr(
+                (0..g.usize_below(4))
+                    .map(|_| random_value(g, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Obj(
+                (0..g.usize_below(4))
+                    .map(|i| (format!("{}{i}", text(g)), random_value(g, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn parser_inverts_the_writer() {
+        check(0x0057_A17E, 2_000, |case, g| {
+            let v = random_value(g, 3);
+            let (compact, pretty) = (format!("{v}"), format!("{v:#}"));
+            assert!(!compact.contains('\n'), "case {case}: {compact}");
+            assert_eq!(parse(&compact).as_ref(), Ok(&v), "case {case}: {compact}");
+            assert_eq!(parse(&pretty).as_ref(), Ok(&v), "case {case}: {pretty}");
+        });
+    }
+
+    #[test]
+    fn writer_shapes() {
+        let v = parse(r#"{"b":[1,2.5,[]],"a":{"x":null,"y":{}},"c":"s"}"#).unwrap();
+        assert_eq!(
+            v.to_string(),
+            r#"{"a":{"x":null,"y":{}},"b":[1.0,2.5,[]],"c":"s"}"#
+        );
+        assert_eq!(
+            format!("{v:#}"),
+            "{\n  \"a\": {\n    \"x\": null,\n    \"y\": {}\n  },\n  \"b\": [\n    1.0,\n    2.5,\n    []\n  ],\n  \"c\": \"s\"\n}"
+        );
+        assert_eq!(Value::Num(f64::NAN).to_string(), "null");
+        assert_eq!(Value::Num(1e300).to_string(), "1e300");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! compares. Counter *values* are process-global and monotonic — under
 //! concurrency (parallel rounds, parallel test binaries) they reflect
 //! every thread's traffic, which is why round watermarks ride dedicated
-//! serde-default fields that the byte-identity comparisons canonicalize
+//! `mem_*` fields that the byte-identity comparisons canonicalize
 //! out, while per-span attribution uses the calling thread's private
 //! counters and stays exact.
 

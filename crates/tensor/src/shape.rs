@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::TensorError;
 
 /// The shape of a tensor: a list of dimension sizes, row-major.
@@ -17,7 +15,7 @@ use crate::TensorError;
 /// assert_eq!(s.volume(), 24);
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
     volume: usize,

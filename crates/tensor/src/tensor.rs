@@ -1,6 +1,5 @@
 use rand::Rng;
 use rand_distr::{Distribution, StandardNormal, Uniform};
-use serde::{Deserialize, Serialize};
 
 use crate::{Result, Shape, TensorError};
 
@@ -22,7 +21,7 @@ use crate::{Result, Shape, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
@@ -390,13 +389,5 @@ mod tests {
         let mut t = Tensor::zeros(&[2, 3, 4]);
         t.set(&[1, 2, 3], 7.5).unwrap();
         assert_eq!(t.get(&[1, 2, 3]).unwrap(), 7.5);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let t = Tensor::from_vec(vec![1.0, -2.0, 3.5, 0.0], &[2, 2]).unwrap();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Tensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
     }
 }

@@ -3,7 +3,7 @@
 //! Both federation engines fan client work out over the deterministic
 //! pool in `fhdnn-federated`'s `parallel` module; this suite proves the
 //! tentpole invariant end to end: the thread count is a pure wall-clock
-//! knob. Serialized round metrics, every emitted health record (and all
+//! knob. Round metrics, every emitted health record (and all
 //! other non-span telemetry), and the final model bytes are identical at
 //! `--threads 1`, `2` and `8` — with stragglers, lossy channels and
 //! compressed uploads in the mix so every per-client random draw is
@@ -123,9 +123,9 @@ fn non_span_events(sink: &MemorySink) -> Vec<Event> {
         .collect()
 }
 
-/// The run history as the bytes `--save` would write, with the
-/// legitimately wall-clock- and heap-state-dependent fields zeroed.
-fn canonical_history_json(mut history: RunHistory) -> String {
+/// The run history with the legitimately wall-clock- and
+/// heap-state-dependent fields zeroed.
+fn canonical_history(mut history: RunHistory) -> RunHistory {
     for r in &mut history.rounds {
         r.round_seconds = 0.0;
         r.mem_peak_bytes = 0;
@@ -133,7 +133,7 @@ fn canonical_history_json(mut history: RunHistory) -> String {
         r.mem_bytes_per_client = 0;
         r.trace_worker_utilization = 0.0;
     }
-    serde_json::to_string(&history).unwrap()
+    history
 }
 
 /// Pre-encoded clients and test set, mirroring the telemetry fixtures.
@@ -192,9 +192,9 @@ fn build_hd_federation(seed: u64) -> (HdFederation, HdClientData) {
     (fed, test_data)
 }
 
-/// One instrumented fedhd run: (history bytes, non-span events, model
-/// bytes) — the three artifacts the invariance theorem is stated over.
-fn fedhd_run(threads: usize) -> (String, Vec<Event>, String) {
+/// One instrumented fedhd run: (history, non-span events, model
+/// bits) — the three artifacts the invariance theorem is stated over.
+fn fedhd_run(threads: usize) -> (RunHistory, Vec<Event>, Vec<u32>) {
     let (mut fed, test) = build_hd_federation(0);
     fed.set_threads(threads);
     fed.set_straggler_prob(0.25).unwrap();
@@ -210,11 +210,10 @@ fn fedhd_run(threads: usize) -> (String, Vec<Event>, String) {
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    let model_file = serde_json::to_string(&proto_bits).unwrap();
     (
-        canonical_history_json(history),
+        canonical_history(history),
         non_span_events(&sink),
-        model_file,
+        proto_bits,
     )
 }
 
@@ -267,7 +266,7 @@ fn build_cnn_federation(seed: u64) -> (CnnFederation, fhdnn::datasets::image::Im
     (fed, test)
 }
 
-fn fedavg_run(threads: usize) -> (String, Vec<Event>, String) {
+fn fedavg_run(threads: usize) -> (RunHistory, Vec<Event>, Vec<u32>) {
     let (mut fed, test) = build_cnn_federation(3);
     fed.set_threads(threads);
     fed.set_upload_fraction(0.5).unwrap();
@@ -285,12 +284,7 @@ fn fedavg_run(threads: usize) -> (String, Vec<Event>, String) {
         .map(|v| v.to_bits())
         .collect();
     bits.extend(fed.global().running_state().iter().map(|v| v.to_bits()));
-    let model_file = serde_json::to_string(&bits).unwrap();
-    (
-        canonical_history_json(history),
-        non_span_events(&sink),
-        model_file,
-    )
+    (canonical_history(history), non_span_events(&sink), bits)
 }
 
 #[test]

@@ -9,7 +9,7 @@ use fhdnn::nn::models::TrunkArch;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
-    p.push(format!("fhdnn-test-{}-{name}.json", std::process::id()));
+    p.push(format!("fhdnn-test-{}-{name}.bin", std::process::id()));
     p
 }
 
@@ -41,8 +41,8 @@ fn trained_deployment_roundtrips_through_disk() {
 
     // Disk round trip.
     let path = temp_path("roundtrip");
-    std::fs::write(&path, ckpt.to_json().unwrap()).unwrap();
-    let loaded = FhdnnCheckpoint::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    std::fs::write(&path, ckpt.to_bytes()).unwrap();
+    let loaded = FhdnnCheckpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded, ckpt);
 
@@ -72,16 +72,16 @@ fn checkpoint_preserves_backbone_architecture() {
         let hd = fhdnn::hdc::model::HdModel::new(10, 256).unwrap();
         let ckpt =
             FhdnnCheckpoint::capture(arch, spec.backbone, &extractor, &encoder, &hd).unwrap();
-        let json = ckpt.to_json().unwrap();
-        let restored = FhdnnCheckpoint::from_json(&json).unwrap();
-        assert_eq!(restored.backbone.arch, arch.into());
+        let restored = FhdnnCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+        assert_eq!(restored.backbone.arch, arch);
         restored.restore().unwrap();
     }
 }
 
 #[test]
 fn malformed_checkpoints_are_rejected_cleanly() {
-    assert!(FhdnnCheckpoint::from_json("not json").is_err());
-    assert!(FhdnnCheckpoint::from_json("{}").is_err());
-    assert!(FhdnnCheckpoint::from_json("{\"version\": 1}").is_err());
+    for bad in ["", "FHDN", "not a checkpoint", "{}", "{\"version\": 1}"] {
+        let err = FhdnnCheckpoint::from_bytes(bad.as_bytes()).unwrap_err();
+        assert!(!err.to_string().contains('\n'), "{bad:?}: {err}");
+    }
 }

@@ -1,5 +1,8 @@
-//! Property-based tests (proptest) on the cross-crate invariants the
-//! reproduction rests on.
+//! Property-based tests on the cross-crate invariants the reproduction
+//! rests on.
+
+#[path = "proptest_util.rs"]
+mod proptest_util;
 
 use fhdnn::channel::packet::per_from_ber;
 use fhdnn::channel::{Channel, NoiselessChannel};
@@ -10,106 +13,117 @@ use fhdnn::hdc::quantizer::{dequantize, quantize};
 use fhdnn::nn::linear::Linear;
 use fhdnn::nn::Network;
 use fhdnn::tensor::Tensor;
-use proptest::prelude::*;
+use proptest_util::{check, Gen};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn small_f32() -> impl Strategy<Value = f32> {
-    (-100.0f32..100.0).prop_map(|x| (x * 100.0).round() / 100.0)
+const CASES: usize = 32;
+
+/// `len` values in `[-100, 100)` with two decimals.
+fn small_f32s(g: &mut Gen, len: usize) -> Vec<f32> {
+    let round = |x: f32| (x * 100.0).round() / 100.0;
+    g.f32_vec(len, -100.0, 100.0)
+        .into_iter()
+        .map(round)
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// sign(Φz) is idempotent under positive rescaling of z.
-    #[test]
-    fn encoding_is_scale_invariant(
-        seed in 0u64..1000,
-        scale in 0.1f32..50.0,
-        features in proptest::collection::vec(-10.0f32..10.0, 8)
-    ) {
-        let enc = RandomProjectionEncoder::new(256, 8, seed).unwrap();
-        let z = Tensor::from_vec(features.clone(), &[1, 8]).unwrap();
-        let scaled = z.scale(scale);
+/// sign(Φz) is idempotent under positive rescaling of z.
+#[test]
+fn encoding_is_scale_invariant() {
+    check(0x9809_0001, CASES, |case, g| {
+        let enc = RandomProjectionEncoder::new(256, 8, g.usize_below(1000) as u64).unwrap();
+        let scale = g.f32_in(0.1, 50.0);
+        let z = Tensor::from_vec(g.f32_vec(8, -10.0, 10.0), &[1, 8]).unwrap();
         let a = enc.encode_batch(&z).unwrap();
-        let b = enc.encode_batch(&scaled).unwrap();
-        prop_assert_eq!(a.as_slice(), b.as_slice());
-    }
+        let b = enc.encode_batch(&z.scale(scale)).unwrap();
+        assert_eq!(a.as_slice(), b.as_slice(), "case {case}");
+    });
+}
 
-    /// Bundling is commutative and associative (element-wise sums).
-    #[test]
-    fn bundling_is_commutative(
-        xs in proptest::collection::vec(small_f32(), 12),
-        ys in proptest::collection::vec(small_f32(), 12)
-    ) {
-        let a = HdModel::from_prototypes(Tensor::from_vec(xs, &[3, 4]).unwrap()).unwrap();
-        let b = HdModel::from_prototypes(Tensor::from_vec(ys, &[3, 4]).unwrap()).unwrap();
+/// Bundling is commutative and associative (element-wise sums).
+#[test]
+fn bundling_is_commutative() {
+    check(0x9809_0002, CASES, |case, g| {
+        let model = |g: &mut Gen| {
+            HdModel::from_prototypes(Tensor::from_vec(small_f32s(g, 12), &[3, 4]).unwrap()).unwrap()
+        };
+        let (a, b) = (model(g), model(g));
         let ab = HdModel::bundle(&[a.clone(), b.clone()]).unwrap();
         let ba = HdModel::bundle(&[b, a]).unwrap();
-        prop_assert_eq!(ab.prototypes().as_slice(), ba.prototypes().as_slice());
-    }
+        assert_eq!(
+            ab.prototypes().as_slice(),
+            ba.prototypes().as_slice(),
+            "case {case}"
+        );
+    });
+}
 
-    /// Quantize→dequantize error is bounded by one quantization step per
-    /// element: |x - x̂| <= max|row| / (2^{B-1} - 1).
-    #[test]
-    fn quantizer_roundtrip_error_bounded(
-        values in proptest::collection::vec(small_f32(), 8),
-        bitwidth in 4u32..17
-    ) {
-        let m = HdModel::from_prototypes(
-            Tensor::from_vec(values.clone(), &[2, 4]).unwrap()
-        ).unwrap();
+/// Quantize→dequantize error is bounded by one quantization step per
+/// element: |x - x̂| <= max|row| / (2^{B-1} - 1).
+#[test]
+fn quantizer_roundtrip_error_bounded() {
+    check(0x9809_0003, CASES, |case, g| {
+        let values = small_f32s(g, 8);
+        let bitwidth = g.usize_in(4..17) as u32;
+        let m = HdModel::from_prototypes(Tensor::from_vec(values, &[2, 4]).unwrap()).unwrap();
         let back = dequantize(&quantize(&m, bitwidth).unwrap()).unwrap();
         let max_word = ((1i64 << (bitwidth - 1)) - 1) as f32;
         for row in 0..2 {
             let orig = m.prototypes().row(row).unwrap();
             let rec = back.prototypes().row(row).unwrap();
             let max_abs = orig.iter().map(|v| v.abs()).fold(0.0f32, f32::max);
-            let step = if max_abs > 0.0 { max_abs / max_word } else { 0.0 };
+            let step = if max_abs > 0.0 {
+                max_abs / max_word
+            } else {
+                0.0
+            };
             for (o, r) in orig.iter().zip(rec) {
-                prop_assert!(
+                assert!(
                     (o - r).abs() <= step * 1.001 + 1e-6,
-                    "row {}: {} vs {} (step {})", row, o, r, step
+                    "case {case} row {row}: {o} vs {r} (step {step})"
                 );
             }
         }
-    }
+    });
+}
 
-    /// Packet error rate is monotone in both BER and packet size, and is
-    /// a valid probability.
-    #[test]
-    fn per_is_monotone_probability(
-        ber in 0.0f64..0.1,
-        bits_a in 1u32..10_000,
-        bits_b in 1u32..10_000
-    ) {
-        let (lo, hi) = if bits_a <= bits_b { (bits_a, bits_b) } else { (bits_b, bits_a) };
+/// Packet error rate is monotone in both BER and packet size, and is
+/// a valid probability.
+#[test]
+fn per_is_monotone_probability() {
+    check(0x9809_0004, CASES, |case, g| {
+        let ber = f64::from(g.unit_f32()) * 0.1;
+        let (bits_a, bits_b) = (g.usize_in(1..10_000) as u32, g.usize_in(1..10_000) as u32);
+        let (lo, hi) = (bits_a.min(bits_b), bits_a.max(bits_b));
         let p_lo = per_from_ber(ber, lo);
         let p_hi = per_from_ber(ber, hi);
-        prop_assert!((0.0..=1.0).contains(&p_lo));
-        prop_assert!((0.0..=1.0).contains(&p_hi));
-        prop_assert!(p_lo <= p_hi + 1e-12);
-        prop_assert!(per_from_ber(ber, lo) <= per_from_ber((ber + 0.01).min(1.0), lo) + 1e-12);
-    }
+        assert!((0.0..=1.0).contains(&p_lo), "case {case}");
+        assert!((0.0..=1.0).contains(&p_hi), "case {case}");
+        assert!(p_lo <= p_hi + 1e-12, "case {case}");
+        assert!(per_from_ber(ber, lo) <= per_from_ber((ber + 0.01).min(1.0), lo) + 1e-12);
+    });
+}
 
-    /// Masking retention is within [~-eps, 1] and equals 1 at zero removal.
-    #[test]
-    fn masking_retention_bounded(
-        seed in 0u64..500,
-        remove in 0.0f32..1.0
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
+/// Masking retention is within [~-eps, 1] and equals 1 at zero removal.
+#[test]
+fn masking_retention_bounded() {
+    check(0x9809_0005, CASES, |case, g| {
+        let mut rng = StdRng::seed_from_u64(g.usize_below(500) as u64);
+        let remove = g.unit_f32();
         let model = HdModel::from_prototypes(Tensor::randn(&[2, 512], 1.0, &mut rng)).unwrap();
         let masked = mask_model_dimensions(&model, remove, &mut rng).unwrap();
         let r = similarity_retention(&model, &masked, 0).unwrap();
-        prop_assert!(r <= 1.0 + 1e-5, "retention {}", r);
-        prop_assert!(r >= -0.05, "retention {}", r);
-    }
+        assert!(r <= 1.0 + 1e-5, "case {case}: retention {r}");
+        assert!(r >= -0.05, "case {case}: retention {r}");
+    });
+}
 
-    /// Parameter flatten → load is the identity on network behavior.
-    #[test]
-    fn param_roundtrip_preserves_network(seed in 0u64..200) {
-        let mut rng = StdRng::seed_from_u64(seed);
+/// Parameter flatten → load is the identity on network behavior.
+#[test]
+fn param_roundtrip_preserves_network() {
+    check(0x9809_0006, CASES, |case, g| {
+        let mut rng = StdRng::seed_from_u64(g.usize_below(200) as u64);
         let mut net = Network::new()
             .push(Linear::new(5, 7, &mut rng).unwrap())
             .push(Linear::new(7, 3, &mut rng).unwrap());
@@ -118,36 +132,38 @@ proptest! {
         let before = net.forward(&x, fhdnn::nn::Mode::Eval).unwrap();
         net.load_params(&flat).unwrap();
         let after = net.forward(&x, fhdnn::nn::Mode::Eval).unwrap();
-        prop_assert_eq!(before.as_slice(), after.as_slice());
-    }
+        assert_eq!(before.as_slice(), after.as_slice(), "case {case}");
+    });
+}
 
-    /// The noiseless channel is exactly the identity on any payload.
-    #[test]
-    fn noiseless_channel_is_identity(
-        payload in proptest::collection::vec(-1e6f32..1e6, 0..64)
-    ) {
-        let ch = NoiselessChannel::new();
+/// The noiseless channel is exactly the identity on any payload.
+#[test]
+fn noiseless_channel_is_identity() {
+    check(0x9809_0007, CASES, |case, g| {
+        let len = g.usize_in(0..64);
+        let payload = g.f32_vec(len, -1e6, 1e6);
         let mut rng = StdRng::seed_from_u64(0);
         let mut p = payload.clone();
-        ch.transmit_f32(&mut p, &mut rng);
-        prop_assert_eq!(p, payload);
-    }
+        NoiselessChannel::new().transmit_f32(&mut p, &mut rng);
+        assert_eq!(p, payload, "case {case}");
+    });
+}
 
-    /// HD model accuracy is invariant to uniform positive scaling of the
-    /// prototypes (cosine-similarity inference).
-    #[test]
-    fn hd_inference_scale_invariant(
-        seed in 0u64..200,
-        scale in 0.01f32..100.0
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
+/// HD model accuracy is invariant to uniform positive scaling of the
+/// prototypes (cosine-similarity inference).
+#[test]
+fn hd_inference_scale_invariant() {
+    check(0x9809_0008, CASES, |case, g| {
+        let mut rng = StdRng::seed_from_u64(g.usize_below(200) as u64);
+        let scale = g.f32_in(0.01, 100.0);
         let protos = Tensor::randn(&[4, 128], 1.0, &mut rng);
         let queries = Tensor::randn(&[8, 128], 1.0, &mut rng);
         let model = HdModel::from_prototypes(protos.clone()).unwrap();
         let scaled = HdModel::from_prototypes(protos.scale(scale)).unwrap();
-        prop_assert_eq!(
+        assert_eq!(
             model.predict_batch(&queries).unwrap(),
-            scaled.predict_batch(&queries).unwrap()
+            scaled.predict_batch(&queries).unwrap(),
+            "case {case}"
         );
-    }
+    });
 }

@@ -47,6 +47,11 @@ impl Gen {
         (self.next_u64() % n as u64) as usize
     }
 
+    /// Uniform in the half-open `range`, which must not be empty.
+    pub fn usize_in(&mut self, range: std::ops::Range<usize>) -> usize {
+        range.start + self.usize_below(range.end - range.start)
+    }
+
     /// Uniform integer in `[lo, hi]` inclusive.
     pub fn i32_in(&mut self, lo: i32, hi: i32) -> i32 {
         assert!(lo <= hi);
@@ -61,6 +66,11 @@ impl Gen {
     /// Uniform in `[lo, hi)`.
     pub fn f32_in(&mut self, lo: f32, hi: f32) -> f32 {
         lo + self.unit_f32() * (hi - lo)
+    }
+
+    /// `len` independent draws from `[lo, hi)`.
+    pub fn f32_vec(&mut self, len: usize, lo: f32, hi: f32) -> Vec<f32> {
+        (0..len).map(|_| self.f32_in(lo, hi)).collect()
     }
 
     /// In-place Fisher–Yates shuffle.
