@@ -1,224 +1,83 @@
 //! `repro` — regenerates every table and figure of the FHDnn paper.
 //!
 //! ```text
-//! repro <experiment> [--scale quick|standard] [--json DIR]
-//!
-//! experiments:
-//!   fig4   noise robustness of HD encodings
-//!   fig5   partial information (ISOLET stand-in)
-//!   fig6   hyperparameter sweep (E/B/C, iid + non-iid)
-//!   fig7   accuracy vs rounds on MNIST/Fashion/CIFAR stand-ins
-//!   fig8   unreliable channels (packet loss / AWGN / bit errors)
-//!   table1 edge-device training time and energy
-//!   comm   §4.4 communication efficiency
-//!   summary  the Figure 1 headline numbers
-//!   ablation-extractor | ablation-snr | ablation-dimension |
-//!   ablation-quantizer
-//!   fast   fig4 fig5 table1 comm ablation-snr (minutes)
-//!   all    everything (CNN sweeps: expect tens of minutes at quick scale)
+//! repro <experiment|fast|all> [--scale quick|standard] [--json DIR]
 //! ```
+//!
+//! `repro --help` prints the experiment ids; [`EXPERIMENTS`] is the one
+//! list behind dispatch, `all` and that text.
 
 use std::io::Write as _;
 use std::process::ExitCode;
 
 use fhdnn_bench::report::ExperimentReport;
-use fhdnn_bench::{ablations, figures, kernels, micro, tables, Scale};
+use fhdnn_bench::{ablations, figures, tables, Scale};
 
-fn run_one(name: &str, scale: Scale) -> Result<ExperimentReport, String> {
-    let result = match name {
-        "fig4" => figures::fig4(scale),
-        "fig5" => figures::fig5(scale),
-        "fig6" => figures::fig6(scale),
-        "fig7" => figures::fig7(scale),
-        "fig8" => figures::fig8(scale),
-        "convergence" => figures::convergence(scale),
-        "table1" => tables::table1(scale),
-        "comm" => tables::comm(scale),
-        "summary" => tables::summary(scale),
-        "ablation-extractor" => ablations::ablation_extractor(scale),
-        "ablation-snr" => ablations::ablation_snr(scale),
-        "ablation-dimension" => ablations::ablation_dimension(scale),
-        "ablation-quantizer" => ablations::ablation_quantizer(scale),
-        "ablation-backbone" => ablations::ablation_backbone(scale),
-        "ablation-compression" => ablations::ablation_compression(scale),
-        "ablation-encoding" => ablations::ablation_encoding(scale),
-        other => return Err(format!("unknown experiment: {other}")),
-    };
-    result.map_err(|e| format!("{name}: {e}"))
+type Experiment = (&'static str, fn(Scale) -> fhdnn::Result<ExperimentReport>);
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[Experiment] = &[
+    ("fig4", figures::fig4),
+    ("fig5", figures::fig5),
+    ("fig6", figures::fig6),
+    ("fig7", figures::fig7),
+    ("fig8", figures::fig8),
+    ("convergence", figures::convergence),
+    ("table1", tables::table1),
+    ("comm", tables::comm),
+    ("summary", tables::summary),
+    ("ablation-extractor", ablations::ablation_extractor),
+    ("ablation-snr", ablations::ablation_snr),
+    ("ablation-dimension", ablations::ablation_dimension),
+    ("ablation-quantizer", ablations::ablation_quantizer),
+    ("ablation-backbone", ablations::ablation_backbone),
+    ("ablation-compression", ablations::ablation_compression),
+    ("ablation-encoding", ablations::ablation_encoding),
+];
+
+/// The subset that finishes in minutes.
+const FAST: &[&str] = &["fig4", "fig5", "table1", "comm", "ablation-snr"];
+
+/// The table rows `name` stands for: one experiment, `fast`'s subset or
+/// all of them; empty when `name` is none of these.
+fn experiments_for(name: &str) -> Vec<&'static Experiment> {
+    EXPERIMENTS
+        .iter()
+        .filter(|(id, _)| match name {
+            "all" => true,
+            "fast" => FAST.contains(id),
+            one => *id == one,
+        })
+        .collect()
 }
 
-fn experiments_for(name: &str) -> Vec<&'static str> {
-    match name {
-        "fast" => vec!["fig4", "fig5", "table1", "comm", "ablation-snr"],
-        "all" => vec![
-            "fig4",
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "convergence",
-            "table1",
-            "comm",
-            "summary",
-            "ablation-extractor",
-            "ablation-snr",
-            "ablation-dimension",
-            "ablation-quantizer",
-            "ablation-backbone",
-            "ablation-compression",
-            "ablation-encoding",
-        ],
-        one => match one {
-            "fig4" => vec!["fig4"],
-            "fig5" => vec!["fig5"],
-            "fig6" => vec!["fig6"],
-            "fig7" => vec!["fig7"],
-            "fig8" => vec!["fig8"],
-            "convergence" => vec!["convergence"],
-            "table1" => vec!["table1"],
-            "comm" => vec!["comm"],
-            "summary" => vec!["summary"],
-            "ablation-extractor" => vec!["ablation-extractor"],
-            "ablation-snr" => vec!["ablation-snr"],
-            "ablation-dimension" => vec!["ablation-dimension"],
-            "ablation-quantizer" => vec!["ablation-quantizer"],
-            "ablation-backbone" => vec!["ablation-backbone"],
-            "ablation-compression" => vec!["ablation-compression"],
-            "ablation-encoding" => vec!["ablation-encoding"],
-            _ => vec![],
-        },
+fn usage() -> String {
+    let mut text = String::from(
+        "usage: repro <experiment|fast|all> [--scale quick|standard] [--json DIR]\nexperiments:",
+    );
+    for (i, (id, _)) in EXPERIMENTS.iter().enumerate() {
+        text.push_str(if i % 5 == 0 { "\n  " } else { " " });
+        text.push_str(id);
     }
-}
-
-/// `repro bench`: runs the registered microbenches, writes
-/// `BENCH_kernels.json` + `BENCH_rounds.json`, and optionally gates the
-/// results against committed baselines.
-fn run_bench_command(args: &[String]) -> ExitCode {
-    let mut cfg = micro::BenchConfig::standard();
-    let mut out_dir = ".".to_string();
-    let mut filter: Option<String> = None;
-    let mut baselines: Vec<String> = Vec::new();
-    let mut tol = 0.25f64;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                cfg = micro::BenchConfig::smoke();
-                i += 1;
-            }
-            "--filter" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("--filter needs a substring");
-                    return ExitCode::FAILURE;
-                };
-                filter = Some(v.clone());
-                i += 2;
-            }
-            "--out" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("--out needs a directory");
-                    return ExitCode::FAILURE;
-                };
-                out_dir = v.clone();
-                i += 2;
-            }
-            "--check" => {
-                let Some(v) = args.get(i + 1) else {
-                    eprintln!("--check needs a baseline file");
-                    return ExitCode::FAILURE;
-                };
-                baselines.push(v.clone());
-                i += 2;
-            }
-            "--tol" => {
-                let Some(v) = args.get(i + 1).and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("--tol needs a number (e.g. 0.25)");
-                    return ExitCode::FAILURE;
-                };
-                tol = v;
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown bench flag: {other}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    let keep = |name: &str| filter.as_deref().is_none_or(|f| name.contains(f));
-    let run_group = |benches: Vec<kernels::Bench>| -> Vec<micro::BenchResult> {
-        benches
-            .iter()
-            .filter(|b| keep(b.name))
-            .map(|b| {
-                let started = std::time::Instant::now();
-                let r = (b.run)(&cfg);
-                eprintln!("[{} in {:.1} s]", b.name, started.elapsed().as_secs_f64());
-                r
-            })
-            .collect()
-    };
-    let kernel_results = run_group(kernels::kernel_benches());
-    let round_results = run_group(kernels::round_benches());
-    if kernel_results.is_empty() && round_results.is_empty() {
-        eprintln!("no benches match filter {filter:?}");
-        return ExitCode::FAILURE;
-    }
-    print!("{}", micro::render_results("kernels", &kernel_results));
-    print!("{}", micro::render_results("rounds", &round_results));
-
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("cannot create {out_dir}: {e}");
-        return ExitCode::FAILURE;
-    }
-    for (file, results) in [
-        ("BENCH_kernels.json", &kernel_results),
-        ("BENCH_rounds.json", &round_results),
-    ] {
-        // A filtered run still writes both files (possibly with an empty
-        // bench list) so the output set is predictable for CI artifacts.
-        let path = format!("{out_dir}/{file}");
-        if let Err(e) = std::fs::write(&path, micro::to_json(results)) {
-            eprintln!("write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {path}");
-    }
-
-    let current: Vec<micro::BenchResult> =
-        kernel_results.into_iter().chain(round_results).collect();
-    let mut ok = true;
-    for baseline_path in &baselines {
-        let baseline = match micro::load_baseline(baseline_path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = micro::gate(baseline_path, &baseline, &current, tol);
-        print!("{}", report.render(tol));
-        ok &= report.passed();
-    }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("regression gate FAILED");
-        ExitCode::FAILURE
-    }
+    text.push_str("\nfast: ");
+    text.push_str(&FAST.join(" "));
+    text
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() || args[0] == "--help" || args[0] == "-h" {
-        eprintln!("usage: repro <experiment|fast|all> [--scale quick|standard] [--json DIR]");
-        eprintln!("       repro bench [--smoke] [--filter SUBSTR] [--out DIR] [--check BASELINE.json]... [--tol 0.25]");
-        eprintln!("experiments: fig4 fig5 fig6 fig7 fig8 convergence table1 comm summary");
-        eprintln!("             ablation-extractor ablation-snr ablation-dimension ablation-quantizer ablation-backbone");
+    if args.is_empty() {
+        eprintln!("{}", usage());
         return ExitCode::FAILURE;
     }
-    if args[0] == "bench" {
-        return run_bench_command(&args[1..]);
+    if args[0] == "--help" || args[0] == "-h" {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let todo = experiments_for(&args[0]);
+    if todo.is_empty() {
+        eprintln!("unknown experiment: {}", args[0]);
+        return ExitCode::FAILURE;
     }
     let mut scale = Scale::Quick;
     let mut json_dir: Option<String> = None;
@@ -252,20 +111,15 @@ fn main() -> ExitCode {
         }
     }
 
-    let todo = experiments_for(&args[0]);
-    if todo.is_empty() {
-        eprintln!("unknown experiment: {}", args[0]);
-        return ExitCode::FAILURE;
-    }
     if let Some(dir) = &json_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {dir}: {e}");
             return ExitCode::FAILURE;
         }
     }
-    for name in todo {
+    for &(name, run) in todo {
         let started = std::time::Instant::now();
-        match run_one(name, scale) {
+        match run(scale) {
             Ok(report) => {
                 println!("{}", report.render());
                 println!(
@@ -285,7 +139,7 @@ fn main() -> ExitCode {
                 }
             }
             Err(e) => {
-                eprintln!("FAILED {e}");
+                eprintln!("FAILED {name}: {e}");
                 return ExitCode::FAILURE;
             }
         }

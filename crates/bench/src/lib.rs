@@ -2,9 +2,10 @@
 //!
 //! The reproduction harness: one module per table/figure of the FHDnn
 //! paper (DAC 2022), plus the ablations called out in DESIGN.md. The
-//! `repro` binary exposes each as a subcommand; the Criterion benches in
-//! `benches/` cover the microscopic costs (HD ops vs CNN ops, channel
-//! throughput, quantizer overhead).
+//! `repro` binary exposes each as a subcommand. Nothing here times
+//! anything: cost is measured by the campaign benchmark in
+//! `src/bin/benchmark`, a package of its own, and allocation counts are
+//! pinned by `tests/alloc.rs`.
 //!
 //! Every experiment returns a serializable report and also pretty-prints
 //! the same rows/series the paper shows, so `repro all --json out/` both
@@ -15,8 +16,6 @@
 
 pub mod ablations;
 pub mod figures;
-pub mod kernels;
-pub mod micro;
 pub mod report;
 pub mod tables;
 

@@ -23,11 +23,6 @@ impl Series {
             y: y[..n].to_vec(),
         }
     }
-
-    /// Final y value, or NaN when empty.
-    pub fn final_y(&self) -> f64 {
-        self.y.last().copied().unwrap_or(f64::NAN)
-    }
 }
 
 /// A complete experiment report: series plus free-form summary lines.
@@ -124,7 +119,7 @@ mod tests {
     fn series_truncates_to_shorter() {
         let s = Series::new("a", vec![1.0, 2.0, 3.0], vec![0.5, 0.6]);
         assert_eq!(s.x.len(), 2);
-        assert_eq!(s.final_y(), 0.6);
+        assert_eq!(s.y, [0.5, 0.6]);
     }
 
     #[test]

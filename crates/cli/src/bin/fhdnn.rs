@@ -79,7 +79,6 @@ fn build_spec(sim: &SimulateArgs) -> ExperimentSpec {
     }
     spec.fleet_telemetry = sim.fleet_telemetry;
     spec.transport = sim.transport;
-    spec.fl.execution = sim.execution;
     spec.seed = sim.seed;
     spec.fl.seed = sim.seed;
     spec.threads = sim.threads;

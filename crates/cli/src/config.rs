@@ -1,7 +1,6 @@
 //! Command-line argument parsing (hand-rolled, dependency-free).
 
 use fhdnn::experiment::Workload;
-use fhdnn::federated::config::HdExecution;
 use fhdnn::federated::fedhd::HdTransport;
 
 /// A parsed invocation.
@@ -159,10 +158,6 @@ pub struct SimulateArgs {
     pub baseline: bool,
     /// HD transport.
     pub transport: HdTransport,
-    /// Binary-HD engine (`--execution`): the bit-packed SIMD hot path
-    /// or the element-wise reference oracle. Only consulted by
-    /// `--transport binary` runs.
-    pub execution: HdExecution,
     /// Enable contrastive pretraining of the extractor.
     pub pretrain: bool,
     /// Master seed.
@@ -189,7 +184,6 @@ impl Default for SimulateArgs {
             non_iid: false,
             baseline: false,
             transport: HdTransport::Float,
-            execution: HdExecution::Packed,
             pretrain: true,
             seed: 0,
             threads: 0,
@@ -207,16 +201,6 @@ fn parse_workload(s: &str) -> Result<Workload, String> {
         "cifar" => Ok(Workload::Cifar),
         other => Err(format!(
             "unknown workload '{other}' (expected mnist, fashion, cifar)"
-        )),
-    }
-}
-
-fn parse_execution(s: &str) -> Result<HdExecution, String> {
-    match s {
-        "packed" => Ok(HdExecution::Packed),
-        "reference" => Ok(HdExecution::Reference),
-        other => Err(format!(
-            "unknown execution '{other}' (expected packed, reference)"
         )),
     }
 }
@@ -274,9 +258,6 @@ fn parse_simulate_args(rest: &[&String]) -> Result<SimulateArgs, String> {
     if let Some(t) = get_value("--transport")? {
         sim.transport = parse_transport(&t)?;
     }
-    if let Some(e) = get_value("--execution")? {
-        sim.execution = parse_execution(&e)?;
-    }
     if let Some(s) = get_value("--seed")? {
         sim.seed = s.parse().map_err(|e| format!("--seed: {e}"))?;
     }
@@ -321,9 +302,6 @@ commands:
              --non-iid                        2-shard pathological split
              --baseline                       also run the ResNet baseline
              --transport float|q<bits>|binary (default float)
-             --execution packed|reference     binary-HD engine: SIMD bit-packed
-                                              hot path or the element-wise
-                                              oracle (default packed)
              --no-pretrain                    use a random extractor
              --seed N                         master seed (default 0)
              --threads N                      round-pool threads (0 = auto,
@@ -483,7 +461,7 @@ mod tests {
     fn simulate_full_flags() {
         let cli = Cli::parse(&args(
             "simulate --workload mnist --channel packet:0.2 --rounds 7 --clients 100 \
-             --non-iid --baseline --transport q8 --execution reference --no-pretrain \
+             --non-iid --baseline --transport q8 --no-pretrain \
              --seed 9 --threads 4 \
              --fleet-telemetry --save out.bin --telemetry trace.jsonl -v",
         ))
@@ -498,7 +476,6 @@ mod tests {
         assert!(sim.fleet_telemetry);
         assert!(sim.non_iid && sim.baseline && !sim.pretrain);
         assert_eq!(sim.transport, HdTransport::Quantized { bitwidth: 8 });
-        assert_eq!(sim.execution, HdExecution::Reference);
         assert_eq!(sim.seed, 9);
         assert_eq!(sim.threads, 4);
         assert_eq!(sim.save.as_deref(), Some("out.bin"));
@@ -533,18 +510,6 @@ mod tests {
         );
         assert!(parse_transport("q").is_err());
         assert!(parse_transport("int8").is_err());
-    }
-
-    #[test]
-    fn execution_parsing() {
-        assert_eq!(parse_execution("packed").unwrap(), HdExecution::Packed);
-        assert_eq!(
-            parse_execution("reference").unwrap(),
-            HdExecution::Reference
-        );
-        assert!(parse_execution("simd").is_err());
-        let sim = parse_simulate_args(&[]).unwrap();
-        assert_eq!(sim.execution, HdExecution::Packed, "packed is the default");
     }
 
     #[test]

@@ -107,11 +107,6 @@ impl FhdnnModel {
         &self.hd
     }
 
-    /// Mutable HD component (for aggregation and channel corruption).
-    pub fn hd_mut(&mut self) -> &mut HdModel {
-        &mut self.hd
-    }
-
     /// Replaces the HD component (receiving a global broadcast).
     ///
     /// # Errors
@@ -130,11 +125,6 @@ impl FhdnnModel {
     /// The shared encoder.
     pub fn encoder(&self) -> &RandomProjectionEncoder {
         &self.encoder
-    }
-
-    /// The frozen extractor.
-    pub fn extractor_mut(&mut self) -> &mut FeatureExtractor {
-        &mut self.extractor
     }
 }
 

@@ -13,8 +13,9 @@
 //! dot(a, b) = dim − 2 · hamming(a, b) = dim − 2 · popcount(a ⊕ b)
 //! ```
 //!
-//! which is where the speedups in `BENCH_kernels.json` come from — a
-//! cacheline of packed words covers 512 dimensions.
+//! which is where the packed engine's speed comes from — a cacheline of
+//! packed words covers 512 dimensions (`tests/parity.rs` holds packed
+//! similarity at least 4× ahead of the `i32` path at d = 10 000).
 //!
 //! The module deliberately ships **two** implementations of the same
 //! binary-HD algorithm:

@@ -104,21 +104,12 @@ impl SourceFile {
 
     /// The stripped code of a 1-based line (without trailing newline).
     pub fn line_code(&self, line: usize) -> &str {
-        self.slice_line(&self.code, line)
-    }
-
-    /// The original text of a 1-based line (without trailing newline).
-    pub fn line_raw(&self, line: usize) -> &str {
-        self.slice_line(&self.raw, line)
-    }
-
-    fn slice_line<'a>(&self, text: &'a str, line: usize) -> &'a str {
         let start = self.line_starts[line - 1];
         let end = self
             .line_starts
             .get(line)
-            .map_or(text.len(), |&next| next.saturating_sub(1));
-        &text[start..end.max(start)]
+            .map_or(self.code.len(), |&next| next.saturating_sub(1));
+        &self.code[start..end.max(start)]
     }
 
     /// Whether byte `offset` falls inside a `#[cfg(test)]`/`#[test]` item.

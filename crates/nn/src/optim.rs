@@ -118,11 +118,6 @@ impl Sgd {
         self.lr
     }
 
-    /// Overrides the learning rate (e.g. for schedules).
-    pub fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
     /// Applies one update step to every parameter of `net` using the
     /// gradients accumulated since the last [`Network::zero_grad`].
     ///

@@ -504,15 +504,6 @@ impl Recorder {
             .unwrap_or(&0)
     }
 
-    /// Current value of a gauge, if set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .lock()
-            .expect("gauges poisoned")
-            .get(name)
-            .copied()
-    }
-
     /// Aggregate of a span name (zero if never closed).
     pub fn span_stat(&self, name: &str) -> SpanStat {
         self.span_stats().remove(name).unwrap_or_default()
@@ -655,7 +646,6 @@ mod tests {
         }
         assert!(!tel.enabled());
         assert_eq!(tel.counter_value("c"), 0);
-        assert_eq!(tel.gauge_value("g"), None);
         assert_eq!(tel.span_stat("s"), SpanStat::default());
     }
 

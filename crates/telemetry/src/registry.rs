@@ -305,11 +305,6 @@ pub fn lookup(name: &str) -> Option<&'static MetricDef> {
         .map(|i| &REGISTRY[i])
 }
 
-/// `true` when `name` is a registered metric name.
-pub fn is_registered(name: &str) -> bool {
-    lookup(name).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,7 +329,7 @@ mod tests {
             assert_eq!(hit.kind, def.kind);
         }
         assert!(lookup("no.such.metric").is_none());
-        assert!(!is_registered(""));
+        assert!(lookup("").is_none());
     }
 
     #[test]

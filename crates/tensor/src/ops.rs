@@ -66,19 +66,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// In-place elementwise subtraction: `self -= other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn sub_assign(&mut self, other: &Tensor) -> Result<()> {
-        self.check_same_shape(other)?;
-        for (a, b) in self.as_mut_slice().iter_mut().zip(other.as_slice()) {
-            *a -= b;
-        }
-        Ok(())
-    }
-
     /// In-place scaled accumulation: `self += alpha * other` (axpy).
     ///
     /// # Errors

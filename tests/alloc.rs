@@ -36,16 +36,23 @@
 //!    `i16` and their sign words — where float baseline, aggregate delta
 //!    and a delta per arrival were eight. Process-wide live bytes, exact
 //!    while the file's lock is held.
+//! 8. **Nine kernels allocate an exact number of blocks and bytes per
+//!    call**: the ones that neither an item above nor a per-layer row of
+//!    the campaign benchmark covers. Shapes alone decide both numbers,
+//!    never a drawn value. Thread-local window.
 
 use fhdnn::channel::packet::PacketLossChannel;
+use fhdnn::channel::packetizer::{transport_through, Packetizer};
 use fhdnn::channel::NoiselessChannel;
 use fhdnn::datasets::features::FeatureSpec;
 use fhdnn::datasets::partition::Partition;
 use fhdnn::federated::config::FlConfig;
 use fhdnn::federated::fedhd::{HdClientData, HdFederation, HdTransport};
 use fhdnn::hdc::encoder::RandomProjectionEncoder;
+use fhdnn::hdc::health::{class_geometry, cosine_distances};
 use fhdnn::hdc::model::HdModel;
 use fhdnn::hdc::packed::{pack_signs, pack_signs_into, words_for, PackedBatch, PackedHdModel};
+use fhdnn::hdc::quantizer::quantize;
 use fhdnn::nn::conv::{Conv2d, ConvGeometry};
 use fhdnn::nn::{Layer, Mode};
 use fhdnn::telemetry::mem;
@@ -54,6 +61,7 @@ use fhdnn::telemetry::Recorder;
 use fhdnn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hint::black_box;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const DIM: usize = 2048;
@@ -427,4 +435,130 @@ fn recorded_packed_federation_retains_under_two_models_of_health_scratch() {
         scratch > MODEL_BYTES / 2 && scratch < 2 * MODEL_BYTES,
         "a recorder makes the packed federation retain {scratch} B; a model is {MODEL_BYTES} B"
     );
+}
+
+fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
+    Tensor::randn(dims, 1.0, &mut StdRng::seed_from_u64(seed))
+}
+
+fn random_model(classes: usize, dim: usize, seed: u64) -> HdModel {
+    HdModel::from_prototypes(random_tensor(&[classes, dim], seed)).unwrap()
+}
+
+/// A one-shot-trained 10-class model at d = 4096, its 256 bipolar
+/// samples, and labels under which a refine epoch from that model
+/// mispredicts at every visit: the class after the one it predicts on
+/// getting there.
+fn churn_fixture() -> (HdModel, Tensor, Vec<usize>) {
+    let (classes, dim, rows) = (10, 4096, 256);
+    let mut rng = StdRng::seed_from_u64(70);
+    let values: Vec<f32> = (0..rows * dim)
+        .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+        .collect();
+    let samples = Tensor::from_vec(values, &[rows, dim]).unwrap();
+    let labels: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..classes)).collect();
+    let mut start = HdModel::new(classes, dim).unwrap();
+    start.one_shot_train(&samples, &labels).unwrap();
+    let mut walk = start.clone();
+    let wrong: Vec<usize> = (0..rows)
+        .map(|i| {
+            let one = Tensor::from_vec(samples.row(i).unwrap().to_vec(), &[1, dim]).unwrap();
+            let label = (walk.predict_batch(&one).unwrap()[0] + 1) % classes;
+            walk.refine_epoch(&one, &[label]).unwrap();
+            label
+        })
+        .collect();
+    (start, samples, wrong)
+}
+
+/// One warmed call of `kernel` asks the allocator for exactly `allocs`
+/// blocks and `bytes` bytes.
+fn pin(name: &str, allocs: u64, bytes: u64, mut kernel: impl FnMut()) {
+    kernel(); // lazy one-time allocations are not the kernel's
+    let mark = mem::thread_mark();
+    kernel();
+    let delta = mark.delta();
+    assert_eq!(
+        (delta.allocs, delta.alloc_bytes),
+        (allocs, bytes),
+        "{name}: blocks and bytes allocated by one call"
+    );
+}
+
+#[test]
+fn kernel_allocations_per_call_are_exact() {
+    let _alone = alone();
+    let geometry = ConvGeometry {
+        kernel: 3,
+        stride: 1,
+        padding: 1,
+    };
+    // `resnet_lite`'s 8 -> 8 convolution at 16x16 on a local batch of 10.
+    let mut conv = Conv2d::new(8, 8, geometry, &mut StdRng::seed_from_u64(3)).unwrap();
+    let images = random_tensor(&[10, 8, 16, 16], 4);
+    let grad = random_tensor(&[10, 8, 16, 16], 5);
+    pin("tensor.conv2d_bwd", 12, 1_069_712, || {
+        black_box(conv.forward(&images, Mode::Train).unwrap());
+        black_box(conv.backward(&grad).unwrap());
+    });
+
+    let dense: Vec<HdModel> = (0..10).map(|i| random_model(10, 2048, 10 + i)).collect();
+    pin("hdc.bundle", 2, 81_936, || {
+        black_box(HdModel::bundle(&dense[..8]).unwrap());
+    });
+    pin("hdc.quantize", 2, 163_880, || {
+        black_box(quantize(&dense[0], 4).unwrap());
+    });
+    // `run_round`'s dense aggregate stage: bundle, then normalise.
+    pin("federated.aggregate", 2, 81_936, || {
+        let mut bundled = HdModel::bundle(&dense).unwrap();
+        bundled.scale(0.1);
+        black_box(bundled);
+    });
+
+    // A recorded round's diagnostics at the wide binary workload's shape.
+    let wide = random_model(26, 10_000, 21);
+    let aggregate = random_tensor(&[26 * 10_000], 22);
+    let deltas: Vec<Vec<f32>> = (0..6)
+        .map(|client| random_tensor(&[26 * 10_000], 23 + client).into_vec())
+        .collect();
+    pin("hdc.health", 5, 39_312, || {
+        black_box(class_geometry(&wide));
+        black_box(cosine_distances(&deltas, aggregate.as_slice()));
+    });
+
+    let (start, samples, wrong) = churn_fixture();
+    pin("hdc.refine_churn", 4, 197_024, || {
+        let mut model = start.clone();
+        let updates = model.refine_epoch(&samples, &wrong).unwrap();
+        assert_eq!(updates, wrong.len(), "every visit mispredicts");
+    });
+
+    let signs = random_tensor(&[10_000], 50);
+    pin("hdc.pack", 1, 1_256, || {
+        black_box(pack_signs(signs.as_slice()));
+    });
+    let packed: Vec<PackedHdModel> = (60..68)
+        .map(|seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let counts: Vec<i32> = (0..10 * 2048).map(|_| rng.gen_range(-50..50)).collect();
+            PackedHdModel::from_counts(counts, 10, 2048).unwrap()
+        })
+        .collect();
+    pin("hdc.bundle_packed", 2, 84_480, || {
+        black_box(PackedHdModel::bundle(&packed).unwrap());
+    });
+
+    let packetizer = Packetizer::new(256).unwrap();
+    let lossy = PacketLossChannel::new(0.1, 256 * 32).unwrap();
+    let payload = random_tensor(&[4096], 30);
+    let mut rng = StdRng::seed_from_u64(31);
+    pin("channel.transport", 66, 82_560, || {
+        black_box(transport_through(
+            &packetizer,
+            payload.as_slice(),
+            &lossy,
+            &mut rng,
+        ));
+    });
 }

@@ -33,7 +33,7 @@ use fhdnn::hdc::encoder::RandomProjectionEncoder;
 use fhdnn::hdc::model::HdModel;
 use fhdnn::hdc::packed::reference::{dot_i32, ReferenceHdModel};
 use fhdnn::hdc::packed::{
-    dot_packed, hamming, pack_signs, pack_signs_i32, PackedBatch, PackedHdModel,
+    dot_packed, hamming, pack_signs, pack_signs_i32, words_for, PackedBatch, PackedHdModel,
 };
 use fhdnn::hdc::simd;
 use fhdnn::telemetry::clock::ManualClock;
@@ -447,8 +447,27 @@ fn binary_campaign(
         .iter()
         .map(|v| v.to_bits())
         .collect();
-    let health: Vec<Event> = sink
-        .events()
+    let events = sink.events();
+    // The packed view of the uplink: a sign word per 64 dims of every
+    // class row, for each update the round's health record saw arrive.
+    let u64_fields = |name: &str, key: &str| -> Vec<u64> {
+        let named = events.iter().filter(|e| e.name == name);
+        named
+            .map(|e| match e.fields.get(key) {
+                Some(FieldValue::U64(v)) => *v,
+                other => panic!("{name}.{key} is {other:?}"),
+            })
+            .collect()
+    };
+    let model_words = (s.classes * words_for(s.dim)) as u64;
+    let arrived = u64_fields("health.round", "arrived");
+    assert_eq!(
+        u64_fields("fl.packed_uplink_words", "delta"),
+        arrived.iter().map(|a| model_words * a).collect::<Vec<_>>(),
+        "{}: packed uplink words, arrivals {arrived:?}",
+        s.name
+    );
+    let health: Vec<Event> = events
         .into_iter()
         .filter(|e| e.name == "health.round")
         .map(|mut e| {
