@@ -29,7 +29,9 @@ fn main() -> ExitCode {
                 eprintln!("error: {msg}\n");
             }
             eprintln!("{}", fhdnn_cli::config::USAGE);
-            return ExitCode::FAILURE;
+            // 2 for a command line that was not understood, 1 for a run
+            // that failed.
+            return ExitCode::from(2);
         }
     };
     let result = match cli.command {

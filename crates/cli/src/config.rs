@@ -236,6 +236,51 @@ fn flag_value(rest: &[&String], flag: &str) -> Result<Option<String>, String> {
     }
 }
 
+/// The `simulate` flags that take a value, and its bare switches: what
+/// [`parse_simulate_args`] reads.
+const SIMULATE_VALUED: &[&str] = &[
+    "--workload",
+    "--channel",
+    "--rounds",
+    "--clients",
+    "--transport",
+    "--seed",
+    "--threads",
+    "--save",
+    "--telemetry",
+];
+const SIMULATE_SWITCHES: &[&str] = &[
+    "--non-iid",
+    "--fleet-telemetry",
+    "--baseline",
+    "--no-pretrain",
+    "-q",
+    "--quiet",
+    "-v",
+    "--verbose",
+];
+
+/// Fails on the first argument of `command` that is neither one of its
+/// `valued` flags, the value after one, nor one of its `switches`; with
+/// `live`, the `simulate` flags count as the command's own.
+fn reject_unknown(
+    command: &str,
+    rest: &[&String],
+    valued: &[&str],
+    switches: &[&str],
+    live: bool,
+) -> Result<(), String> {
+    let mut args = rest.iter().map(|arg| arg.as_str());
+    while let Some(arg) = args.next() {
+        if valued.contains(&arg) || (live && SIMULATE_VALUED.contains(&arg)) {
+            args.next(); // its value; a missing one is reported where the flag is read
+        } else if !(switches.contains(&arg) || (live && SIMULATE_SWITCHES.contains(&arg))) {
+            return Err(format!("{command}: unknown argument '{arg}'"));
+        }
+    }
+    Ok(())
+}
+
 /// Parses the `simulate` flag set out of an argument list. Shared by
 /// `simulate` and the live modes of `profile`, `watch` and `trace`.
 fn parse_simulate_args(rest: &[&String]) -> Result<SimulateArgs, String> {
@@ -362,69 +407,92 @@ impl Cli {
         let get_value = |flag| flag_value(&rest, flag);
         let has_flag = |flag: &str| rest.iter().any(|a| *a == flag);
 
+        // Every arm names the flags it is about to read before reading them.
+        let known = |valued: &[&str], switches: &[&str], live: bool| {
+            reject_unknown(command, &rest, valued, switches, live)
+        };
+
         let command = match command.as_str() {
-            "simulate" => Command::Simulate(parse_simulate_args(&rest)?),
-            "profile" => Command::Profile(ProfileArgs {
-                sim: parse_simulate_args(&rest)?,
-                from: get_value("--from")?,
-                collapsed: get_value("--collapsed")?,
-                mem: has_flag("--mem"),
-            }),
-            "watch" => Command::Watch(WatchArgs {
-                sim: parse_simulate_args(&rest)?,
-                from: get_value("--from")?,
-            }),
-            "trace" => Command::Trace(TraceArgs {
-                sim: parse_simulate_args(&rest)?,
-                from: get_value("--from")?,
-                chrome: get_value("--chrome")?,
-            }),
-            "export" => Command::Export {
-                from: get_value("--from")?.ok_or("export needs --from")?,
-                prom: get_value("--prom")?.ok_or("export needs --prom")?,
-            },
-            "lint" => {
-                let explain = get_value("--explain")?;
-                let root_value = get_value("--root")?;
-                if let Some(stray) = rest.iter().find(|a| {
-                    !matches!(
-                        a.as_str(),
-                        "--json" | "--fix-baseline" | "--explain" | "--root"
-                    ) && Some(a.as_str()) != root_value.as_deref()
-                        && Some(a.as_str()) != explain.as_deref()
-                }) {
-                    return Err(format!("lint: unexpected argument '{stray}'"));
+            "simulate" => {
+                known(&[], &[], true)?;
+                Command::Simulate(parse_simulate_args(&rest)?)
+            }
+            "profile" => {
+                known(&["--from", "--collapsed"], &["--mem"], true)?;
+                Command::Profile(ProfileArgs {
+                    sim: parse_simulate_args(&rest)?,
+                    from: get_value("--from")?,
+                    collapsed: get_value("--collapsed")?,
+                    mem: has_flag("--mem"),
+                })
+            }
+            "watch" => {
+                known(&["--from"], &[], true)?;
+                Command::Watch(WatchArgs {
+                    sim: parse_simulate_args(&rest)?,
+                    from: get_value("--from")?,
+                })
+            }
+            "trace" => {
+                known(&["--from", "--chrome"], &[], true)?;
+                Command::Trace(TraceArgs {
+                    sim: parse_simulate_args(&rest)?,
+                    from: get_value("--from")?,
+                    chrome: get_value("--chrome")?,
+                })
+            }
+            "export" => {
+                known(&["--from", "--prom"], &[], false)?;
+                Command::Export {
+                    from: get_value("--from")?.ok_or("export needs --from")?,
+                    prom: get_value("--prom")?.ok_or("export needs --prom")?,
                 }
+            }
+            "lint" => {
+                known(
+                    &["--explain", "--root"],
+                    &["--json", "--fix-baseline"],
+                    false,
+                )?;
                 Command::Lint(LintArgs {
                     json: has_flag("--json"),
                     fix_baseline: has_flag("--fix-baseline"),
-                    explain,
-                    root: root_value.unwrap_or_else(|| ".".into()),
+                    explain: get_value("--explain")?,
+                    root: get_value("--root")?.unwrap_or_else(|| ".".into()),
                 })
             }
-            "pretrain" => Command::Pretrain {
-                workload: parse_workload(
-                    &get_value("--workload")?.ok_or("pretrain needs --workload")?,
-                )?,
-                out: get_value("--out")?.ok_or("pretrain needs --out")?,
-                seed: match get_value("--seed")? {
-                    Some(s) => s.parse().map_err(|e| format!("--seed: {e}"))?,
-                    None => 0,
-                },
-            },
-            "evaluate" => Command::Evaluate {
-                ckpt: get_value("--ckpt")?.ok_or("evaluate needs --ckpt")?,
-                workload: parse_workload(
-                    &get_value("--workload")?.ok_or("evaluate needs --workload")?,
-                )?,
-                test_size: match get_value("--test-size")? {
-                    Some(s) => s.parse().map_err(|e| format!("--test-size: {e}"))?,
-                    None => 200,
-                },
-            },
-            "info" => Command::Info {
-                ckpt: get_value("--ckpt")?.ok_or("info needs --ckpt")?,
-            },
+            "pretrain" => {
+                known(&["--workload", "--out", "--seed"], &[], false)?;
+                Command::Pretrain {
+                    workload: parse_workload(
+                        &get_value("--workload")?.ok_or("pretrain needs --workload")?,
+                    )?,
+                    out: get_value("--out")?.ok_or("pretrain needs --out")?,
+                    seed: match get_value("--seed")? {
+                        Some(s) => s.parse().map_err(|e| format!("--seed: {e}"))?,
+                        None => 0,
+                    },
+                }
+            }
+            "evaluate" => {
+                known(&["--ckpt", "--workload", "--test-size"], &[], false)?;
+                Command::Evaluate {
+                    ckpt: get_value("--ckpt")?.ok_or("evaluate needs --ckpt")?,
+                    workload: parse_workload(
+                        &get_value("--workload")?.ok_or("evaluate needs --workload")?,
+                    )?,
+                    test_size: match get_value("--test-size")? {
+                        Some(s) => s.parse().map_err(|e| format!("--test-size: {e}"))?,
+                        None => 200,
+                    },
+                }
+            }
+            "info" => {
+                known(&["--ckpt"], &[], false)?;
+                Command::Info {
+                    ckpt: get_value("--ckpt")?.ok_or("info needs --ckpt")?,
+                }
+            }
             "--help" | "-h" | "help" => return Err(String::new()),
             other => return Err(format!("unknown command '{other}'")),
         };
@@ -640,6 +708,36 @@ mod tests {
         assert!(Cli::parse(&args("lint --jsno")).is_err());
         assert!(Cli::parse(&args("lint --root")).is_err());
         assert!(Cli::parse(&args("lint --explain")).is_err());
+    }
+
+    #[test]
+    fn every_subcommand_rejects_flags_it_does_not_know() {
+        // A flag that is misspelt, was removed (`--execution`, PR 23) or
+        // belongs to another subcommand is named in the error, not dropped.
+        for (line, stray) in [
+            ("simulate --execution reference", "--execution"),
+            ("simulate --rounds 3 --mem", "--mem"),
+            ("profile --from run.jsonl --chrome out.json", "--chrome"),
+            (
+                "watch --workload mnist --collapsed out.folded",
+                "--collapsed",
+            ),
+            ("trace --chrome out.json --prom out.prom", "--prom"),
+            ("export --from run.jsonl --prom out.prom --json", "--json"),
+            ("lint --json --workload mnist", "--workload"),
+            (
+                "pretrain --workload mnist --out x.bin --rounds 3",
+                "--rounds",
+            ),
+            ("evaluate --ckpt x.bin --workload mnist --seed 1", "--seed"),
+            ("info --ckpt x.bin extra", "extra"),
+        ] {
+            let command = line.split(' ').next().unwrap();
+            let error = Cli::parse(&args(line)).unwrap_err();
+            assert_eq!(error, format!("{command}: unknown argument '{stray}'"));
+        }
+        // A flag's value is never taken for a flag.
+        assert!(Cli::parse(&args("export --from --json --prom -")).is_ok());
     }
 
     #[test]

@@ -9,14 +9,10 @@
 //! scalar implementation of each ([`scalar`]) plus `std::arch`
 //! specialisations
 //! — AVX2 on `x86_64`, NEON on `aarch64` where the win is trivial — and
-//! picks one **once** per process behind a [`std::sync::OnceLock`]:
-//!
-//! - `FHDNN_NO_SIMD=1` in the environment forces the scalar backend
-//!   (the CI matrix runs a full test leg this way);
-//! - otherwise `x86_64` uses AVX2 iff `is_x86_feature_detected!` says
-//!   the CPU has it;
-//! - `aarch64` always uses NEON (a mandatory architecture feature);
-//! - everything else falls back to scalar.
+//! dispatches on [`fhdnn_tensor::simd::backend`], the workspace's one
+//! detector (the GEMM micro-kernel asks it too): decided once per
+//! process, `FHDNN_NO_SIMD=1` forces the scalar backend, the rules are
+//! in that module's docs.
 //!
 //! Every backend computes bit-identical results: the packed learner is
 //! exact integer arithmetic, so there is no tolerance to hide behind.
@@ -26,58 +22,10 @@
 //! scalar backend. Each `unsafe` block carries a `// SAFETY:` audit;
 //! `fhdnn lint` enforces that contract mechanically.
 
-use std::sync::OnceLock;
+pub use fhdnn_tensor::simd::active_backend;
+use fhdnn_tensor::simd::{backend, Backend};
 
 use crate::packed::WORD_BITS;
-
-/// Which kernel backend this process dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Backend {
-    Scalar,
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-    #[cfg(target_arch = "aarch64")]
-    Neon,
-}
-
-fn backend() -> Backend {
-    static BACKEND: OnceLock<Backend> = OnceLock::new();
-    *BACKEND.get_or_init(detect)
-}
-
-fn detect() -> Backend {
-    // Miri interprets MIR and has no model for AVX2/NEON intrinsics;
-    // the scalar oracle is the only backend it can execute, and it is
-    // exactly the backend whose memory behaviour we want audited.
-    if cfg!(miri) || force_scalar() {
-        return Backend::Scalar;
-    }
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        return Backend::Avx2;
-    }
-    #[cfg(target_arch = "aarch64")]
-    return Backend::Neon;
-    #[cfg(not(target_arch = "aarch64"))]
-    Backend::Scalar
-}
-
-fn force_scalar() -> bool {
-    std::env::var_os("FHDNN_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Name of the active backend (`"avx2"`, `"neon"` or `"scalar"`) —
-/// decided once per process, surfaced for logs and the parity suite.
-#[must_use]
-pub fn active_backend() -> &'static str {
-    match backend() {
-        Backend::Scalar => "scalar",
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => "avx2",
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => "neon",
-    }
-}
 
 /// Packs `values` one bit per element into `out`
 /// (`bit = 1 ⇔ value ≥ 0.0`, so `−0.0` packs as `+1` and NaN as `−1`,
@@ -1022,10 +970,5 @@ mod tests {
         vote_pm1_masked(&mut voted, &x, &zeros);
         accumulate_pm1(&mut accumulated, &x, 1);
         assert_eq!(voted, accumulated);
-    }
-
-    #[test]
-    fn backend_is_reported() {
-        assert!(["scalar", "avx2", "neon"].contains(&active_backend()));
     }
 }

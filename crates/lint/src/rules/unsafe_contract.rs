@@ -356,6 +356,31 @@ pub fn fast(x: u64) -> u64 {
     }
 
     #[test]
+    fn safe_target_feature_fns_are_held_to_the_same_gate() {
+        // A safe `#[target_feature]` fn (stable since 1.86) still needs
+        // `unsafe` at a call from a fn without the feature, and the
+        // generic shell is called with a turbofish.
+        let gated = "\
+#[target_feature(enable = \"avx2\")]
+fn kernel_avx2<const L: usize>(x: [f32; L]) -> [f32; L] { x }
+fn kernel<const L: usize>(x: [f32; L]) -> [f32; L] {
+    match simd::backend() {
+        // SAFETY: `Backend::Avx2` is returned only after AVX2 was detected.
+        simd::Backend::Avx2 => unsafe { kernel_avx2::<L>(x) },
+        _ => x,
+    }
+}
+";
+        assert!(run(gated).is_empty());
+
+        let ungated = gated.replace("match simd::backend() {", "match cpu() {");
+        let out = run(&ungated);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].rule, "unsafe/target-feature-reachability");
+        assert!(out[0].message.contains("kernel_avx2"));
+    }
+
+    #[test]
     fn qualified_calls_to_other_modules_do_not_match() {
         let src = "\
 mod x86 {

@@ -35,22 +35,40 @@
 //! does it mask where it need not: a zero times a *finite* value is a
 //! zero, which adds nothing either, so zero factors' terms are taken out
 //! only where the other operand — the four streamed rows of a tile, or
-//! the block's 64 lanes — holds an infinity or a NaN. The kernel
-//! vectorises *across* outputs, never *within* a chain, so the result is
-//! bit-identical for every shape, whichever operand supplies the lanes,
-//! and on every target (up to which NaN payload a NaN output carries,
-//! which Rust leaves unspecified); there is no FMA, no split `k` sum, no
-//! dispatch and therefore nothing for a SIMD/scalar parity suite to
-//! compare. Chains longer than `KC` are taken `KC` terms at a time, and
-//! each picks up from the `f32` partial sum it left in the output — the
-//! same chain, parked in memory once per `KC` terms;
-//! [`Chain::AxpyResume`] lets a caller do the same across calls. The
-//! tests below hold all of it to the naive loops bit for bit.
+//! the block's 64 lanes — holds an infinity or a NaN. Chains longer than
+//! `KC` are taken `KC` terms at a time, and each picks up from the `f32`
+//! partial sum it left in the output — the same chain, parked in memory
+//! once per `KC` terms; [`Chain::AxpyResume`] lets a caller do the same
+//! across calls.
+//!
+//! **What is guaranteed, and by what.** The kernel vectorises *across*
+//! outputs, never *within* a chain, there is no FMA and no split `k` sum,
+//! so the result is bit-identical for every shape, whichever operand
+//! supplies the lanes, and on every target (up to which NaN payload a NaN
+//! output carries, which Rust leaves unspecified). That covers the one
+//! dispatch there is: on x86-64 the micro-kernel's body is compiled twice,
+//! for the baseline target (4-lane SSE2) and under
+//! `#[target_feature(enable = "avx2")]` (a panel column in one 8-lane
+//! register). The wide twin runs where [`simd::backend`] — the detector
+//! the packed HD kernels use, so `FHDNN_NO_SIMD=1` governs both — finds
+//! the feature and the product is at least `WIDE_MIN_MACS` long, since
+//! 256-bit multiplies lower the core's clock for everything that follows
+//! them; shorter products stay on the baseline twin. The twins are
+//! one source text with the same multiplies and adds in the same order;
+//! only the width of an instruction differs. The tests below hold all of
+//! it (in them every product goes the wide way): the naive loops bit for
+//! bit on the detected backend and again in a child process forced scalar
+//! (`the_naive_loops_hold_the_baseline_twin_too`), and the two twins of
+//! every instantiation against each other over NaN, ±∞, ±0, 3e38 and
+//! subnormal operands
+//! (`both_twins_of_every_instantiation_agree_bit_for_bit`).
 
+use crate::simd;
 use crate::{Result, Tensor, TensorError};
 
 /// Lanes per panel: what the micro-kernel vectorises over (two 4-lane
-/// registers on the x86-64 and aarch64 baselines).
+/// registers on the x86-64 and aarch64 baselines, one 8-lane register
+/// under AVX2).
 const MR: usize = 8;
 /// Streamed rows per register tile: `MR × NR` accumulators fill 8 of the
 /// 16 baseline vector registers, leaving room for the panel column and the
@@ -65,6 +83,17 @@ const MC: usize = 64;
 /// stays in L1 at HD widths. Every `k` the encoder and the CNN use is
 /// below it.
 const KC: usize = 1024;
+/// Multiply-adds a product needs before it runs on the AVX2 twin: some
+/// four milliseconds of baseline work. A core that has executed 256-bit
+/// multiplies is clocked lower for milliseconds afterwards (4.2 → 3.0–3.3
+/// GHz on the reference box), and all the code around the product pays
+/// that, so the wide twin is for products long enough to earn it back —
+/// the encoder's — and not for the sub-millisecond ones of a convolution,
+/// between which a training step does as much work again outside the
+/// kernel: there it widened the spread between a quiet and a busy host
+/// more than it raised the median. Unit tests send every product the wide
+/// way, so that the oracles hold both twins.
+const WIDE_MIN_MACS: usize = if cfg!(test) { 1 } else { 1 << 26 };
 
 /// How every output's chain of products starts and which terms it holds
 /// (see the [module docs](self)).
@@ -232,6 +261,7 @@ fn gemm(
     if packed.len() < packed_lanes * KC.min(k) {
         packed.resize(packed_lanes * KC.min(k), 0.0);
     }
+    let wide = count.saturating_mul(streamed.len()) >= WIDE_MIN_MACS;
     for block in (0..count).step_by(MC) {
         let block_lanes = MC.min(count - block);
         // After the first `KC` columns every chain picks up from the
@@ -307,12 +337,14 @@ fn gemm(
                     (&mut out.data[first..], (out.lane_stride, out.row_stride));
                 let live = (block_lanes, row_group.len() / k);
                 match masked {
-                    None => tiles::<false, false>(panels, rows, block_out, strides, live, start),
+                    None => {
+                        tiles::<false, false>(panels, rows, block_out, strides, live, start, wide);
+                    }
                     Some(Zeros::Lanes) => {
-                        tiles::<true, false>(panels, rows, block_out, strides, live, start);
+                        tiles::<true, false>(panels, rows, block_out, strides, live, start, wide);
                     }
                     Some(Zeros::Streamed) => {
-                        tiles::<false, true>(panels, rows, block_out, strides, live, start);
+                        tiles::<false, true>(panels, rows, block_out, strides, live, start, wide);
                     }
                 }
             }
@@ -396,16 +428,21 @@ fn tiles<const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
     strides: (usize, usize),
     (live_lanes, live_rows): (usize, usize),
     start: Option<f32>,
+    wide: bool,
 ) {
     for (index, &panel) in panels.iter().enumerate() {
         let out = &mut out[index * MR * strides.0..];
         let live = ((live_lanes - index * MR).min(MR), live_rows);
         match live.0 {
-            1 => tile_over::<1, SKIP_LANES, SKIP_STREAMED>(panel, rows, out, strides, live, start),
-            2..=4 => {
-                tile_over::<4, SKIP_LANES, SKIP_STREAMED>(panel, rows, out, strides, live, start);
-            }
-            _ => tile_over::<MR, SKIP_LANES, SKIP_STREAMED>(panel, rows, out, strides, live, start),
+            1 => tile_over::<1, SKIP_LANES, SKIP_STREAMED>(
+                panel, rows, out, strides, live, start, wide,
+            ),
+            2..=4 => tile_over::<4, SKIP_LANES, SKIP_STREAMED>(
+                panel, rows, out, strides, live, start, wide,
+            ),
+            _ => tile_over::<MR, SKIP_LANES, SKIP_STREAMED>(
+                panel, rows, out, strides, live, start, wide,
+            ),
         }
     }
 }
@@ -426,6 +463,7 @@ fn tile_over<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
     (lane_stride, row_stride): (usize, usize),
     (live_lanes, live_rows): (usize, usize),
     start: Option<f32>,
+    wide: bool,
 ) {
     let at = |lane: usize, row: usize| lane * lane_stride + row * row_stride;
     // `L` live lanes side by side in the output move a row at a time.
@@ -448,6 +486,7 @@ fn tile_over<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
         rows,
         start.unwrap_or(0.0),
         parked.as_ref(),
+        wide,
     );
     if row_stride == 1 && live_rows == NR {
         // A lane's `NR` sums side by side in the output move together.
@@ -467,6 +506,66 @@ fn tile_over<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
     }
 }
 
+/// The micro-kernel on the AVX2 twin if the product is `wide` (see
+/// [`WIDE_MIN_MACS`]) and the detected [`simd::backend`] has it, on the
+/// baseline twin otherwise: one body, compiled for the baseline target and
+/// once more for AVX2, with the same separate multiplies and adds in the
+/// same order, so which twin runs changes how many lanes an instruction
+/// holds and no bit of any sum.
+///
+/// The start is a scalar to splat, or parked sums behind a reference:
+/// taking the `L × NR` array by value measured 10–18 % slower on every
+/// product (the accumulators went through the stack).
+#[inline(always)]
+#[allow(unsafe_code)]
+fn micro_kernel<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
+    panel: Panel<'_>,
+    rows: [&[f32]; NR],
+    fresh: f32,
+    parked: Option<&[[f32; L]; NR]>,
+    wide: bool,
+) -> [[f32; L]; NR] {
+    match (simd::backend(), wide) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `backend()` returns `Backend::Avx2` only after
+        // `is_x86_feature_detected!("avx2")` found the feature on this CPU.
+        (simd::Backend::Avx2, true) => unsafe {
+            micro_kernel_avx2::<L, SKIP_LANES, SKIP_STREAMED>(panel, rows, fresh, parked)
+        },
+        _ => micro_kernel_baseline::<L, SKIP_LANES, SKIP_STREAMED>(panel, rows, fresh, parked),
+    }
+}
+
+/// [`micro_kernel_body`] as the baseline target compiles it (4-lane SSE2
+/// on x86-64).
+///
+/// Out of line so that its code does not depend on the caller: inlined
+/// next to the strided store it was seen to compile to scalar code.
+#[inline(never)]
+fn micro_kernel_baseline<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
+    panel: Panel<'_>,
+    rows: [&[f32]; NR],
+    fresh: f32,
+    parked: Option<&[[f32; L]; NR]>,
+) -> [[f32; L]; NR] {
+    micro_kernel_body::<L, SKIP_LANES, SKIP_STREAMED>(panel, rows, fresh, parked)
+}
+
+/// [`micro_kernel_body`] compiled with AVX2 on: a panel column is one
+/// 8-lane register. No FMA — that feature is not enabled, and Rust never
+/// contracts a multiply and an add on its own.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx2")]
+fn micro_kernel_avx2<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
+    panel: Panel<'_>,
+    rows: [&[f32]; NR],
+    fresh: f32,
+    parked: Option<&[[f32; L]; NR]>,
+) -> [[f32; L]; NR] {
+    micro_kernel_body::<L, SKIP_LANES, SKIP_STREAMED>(panel, rows, fresh, parked)
+}
+
 /// `acc[s][p] = start[s][p] + Σ_q panel[q][p] · rows[s][q]`: `L × NR`
 /// independent chains, each ascending in `q` with a separate multiply and
 /// add. With `SKIP_LANES` a term whose lane value is zero, with
@@ -475,30 +574,15 @@ fn tile_over<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
 /// counts and unroll into `NR` broadcast-multiply-adds over the panel
 /// column.
 ///
-/// Out of line so that its code does not depend on the caller: inlined
-/// next to the strided store it was seen to compile to scalar code. The
-/// start is a scalar to splat, or parked sums behind a reference, for the
-/// same reason: taking the `L × NR` array by value measured 10–18 %
-/// slower on every product (the accumulators went through the stack).
-#[inline(never)]
-fn micro_kernel<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
+/// Inlined into its two shells, which is what compiles it twice.
+#[inline(always)]
+fn micro_kernel_body<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
     panel: Panel<'_>,
     rows: [&[f32]; NR],
     fresh: f32,
     parked: Option<&[[f32; L]; NR]>,
 ) -> [[f32; L]; NR] {
-    // All ones where a term counts, `+0.0`'s bits where it does not.
-    let keep = |skip: bool, factor: f32| if skip && factor == 0.0 { 0 } else { u32::MAX };
     let mut acc = parked.copied().unwrap_or([[fresh; L]; NR]);
-    let mut step = |column: &[f32; L], xs: [f32; NR]| {
-        let keep_lanes = column.map(|lane| keep(SKIP_LANES, lane));
-        for (acc_row, x) in acc.iter_mut().zip(xs) {
-            let keep_row = keep(SKIP_STREAMED, x);
-            for ((sum, &lane), keep_lane) in acc_row.iter_mut().zip(column).zip(keep_lanes) {
-                *sum += f32::from_bits((lane * x).to_bits() & keep_lane & keep_row);
-            }
-        }
-    };
     let k = rows.iter().map(|row| row.len()).min().unwrap_or(0);
     let [r0, r1, r2, r3] = rows.map(|row| &row[..k]);
     if panel.stride == MR {
@@ -506,7 +590,7 @@ fn micro_kernel<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: boo
         let (columns, _) = panel.columns.as_chunks::<MR>();
         for ((((column, &x0), &x1), &x2), &x3) in columns.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
             if let Some(column) = column.first_chunk::<L>() {
-                step(column, [x0, x1, x2, x3]);
+                step::<L, SKIP_LANES, SKIP_STREAMED>(&mut acc, column, [x0, x1, x2, x3]);
             }
         }
     } else {
@@ -518,10 +602,31 @@ fn micro_kernel<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: boo
             else {
                 break;
             };
-            step(column, [r0[q], r1[q], r2[q], r3[q]]);
+            step::<L, SKIP_LANES, SKIP_STREAMED>(&mut acc, column, [r0[q], r1[q], r2[q], r3[q]]);
         }
     }
     acc
+}
+
+/// One column's term onto each of the `L × NR` chains of
+/// [`micro_kernel_body`]. A function, not a closure, so that it can be
+/// told to inline: left to itself the masked 8-lane instantiation was
+/// compiled once, for the baseline target, and called from both shells.
+#[inline(always)]
+fn step<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
+    acc: &mut [[f32; L]; NR],
+    column: &[f32; L],
+    xs: [f32; NR],
+) {
+    // All ones where a term counts, `+0.0`'s bits where it does not.
+    let keep = |skip: bool, factor: f32| if skip && factor == 0.0 { 0 } else { u32::MAX };
+    let keep_lanes = column.map(|lane| keep(SKIP_LANES, lane));
+    for (acc_row, x) in acc.iter_mut().zip(xs) {
+        let keep_row = keep(SKIP_STREAMED, x);
+        for ((sum, &lane), keep_lane) in acc_row.iter_mut().zip(column).zip(keep_lanes) {
+            *sum += f32::from_bits((lane * x).to_bits() & keep_lane & keep_row);
+        }
+    }
 }
 
 /// `out[i][j] = a[i] · b[j]` for row-major `a: [m, k]`, `b: [n, k]` and
@@ -1171,6 +1276,110 @@ mod tests {
                 assert!(got_row[count].is_nan(), "wrote past the last lane");
             }
         }
+    }
+
+    /// Both twins of one instantiation over a packed and a strided panel,
+    /// from a fresh and from a parked start: the baseline shell called as
+    /// it is, the AVX2 shell through [`micro_kernel`] (its one caller).
+    fn twins_agree<const L: usize, const SKIP_LANES: bool, const SKIP_STREAMED: bool>(
+        rng: &mut StdRng,
+    ) {
+        const HARD: [f32; 9] = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            3.0e38,
+            -3.0e38,
+            1.0e-41,
+            -1.0e-41,
+        ];
+        let k = 37;
+        // One value in 64 hard leaves half the chains finite, where every
+        // rounding shows; one in 4 leaves none.
+        let mut hard = |rows: usize, cols: usize, one_in: u32| {
+            let mut t = fill(rows, cols, rng, false);
+            for x in t.as_mut_slice() {
+                if rng.gen_range(0..one_in) == 0 {
+                    *x = HARD[rng.gen_range(0..HARD.len())];
+                }
+            }
+            t
+        };
+        for stride in [MR, MR + 3] {
+            for parked in [false, true] {
+                for one_in in [64, 4] {
+                    let columns = hard(k, stride, one_in);
+                    let streamed = hard(NR, k, one_in);
+                    let sums = hard(NR, L, one_in);
+                    let panel = Panel {
+                        columns: columns.as_slice(),
+                        stride,
+                    };
+                    let mut rows = [streamed.as_slice(); NR];
+                    for (slot, row) in rows.iter_mut().zip(streamed.as_slice().chunks_exact(k)) {
+                        *slot = row;
+                    }
+                    let mut start = [[0.0f32; L]; NR];
+                    for (start_row, row) in start.iter_mut().zip(sums.as_slice().chunks_exact(L)) {
+                        start_row.copy_from_slice(row);
+                    }
+                    let start = parked.then_some(&start);
+                    let baseline = micro_kernel_baseline::<L, SKIP_LANES, SKIP_STREAMED>(
+                        panel, rows, -0.0, start,
+                    );
+                    let dispatched = micro_kernel::<L, SKIP_LANES, SKIP_STREAMED>(
+                        panel, rows, -0.0, start, true,
+                    );
+                    let what = format!(
+                        "L = {L}, skip ({SKIP_LANES}, {SKIP_STREAMED}), stride {stride}, \
+                         parked {parked}, one in {one_in} hard"
+                    );
+                    assert_same_bits(dispatched.as_flattened(), baseline.as_flattened(), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn both_twins_of_every_instantiation_agree_bit_for_bit() {
+        if simd::backend() == simd::Backend::Scalar {
+            eprintln!("skipped: no second twin on the scalar backend");
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(17);
+        twins_agree::<1, false, false>(&mut rng);
+        twins_agree::<1, true, false>(&mut rng);
+        twins_agree::<1, false, true>(&mut rng);
+        twins_agree::<4, false, false>(&mut rng);
+        twins_agree::<4, true, false>(&mut rng);
+        twins_agree::<4, false, true>(&mut rng);
+        twins_agree::<MR, false, false>(&mut rng);
+        twins_agree::<MR, true, false>(&mut rng);
+        twins_agree::<MR, false, true>(&mut rng);
+    }
+
+    #[test]
+    fn the_naive_loops_hold_the_baseline_twin_too() {
+        // The backend is decided once per process, so the oracle tests of
+        // this module run again in a child that is told to stay scalar.
+        if simd::backend() == simd::Backend::Scalar {
+            return; // this process is such a run already
+        }
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "linalg::tests::matmul_nt_is_bit_identical",
+                "linalg::tests::matmul_and_matmul_tn_are_bit_identical",
+                "linalg::tests::axpy_chains_skip_zero_factors",
+                "linalg::tests::gemm_into_reads_slabbed_rows",
+            ])
+            .env("FHDNN_NO_SIMD", "1")
+            .output()
+            .unwrap();
+        let report = String::from_utf8_lossy(&child.stdout);
+        assert!(child.status.success(), "{report}");
+        assert!(report.contains("test result: ok. 6 passed"), "{report}");
     }
 
     #[test]

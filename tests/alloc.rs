@@ -73,6 +73,10 @@ const CLASSES: usize = 6;
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 fn alone() -> MutexGuard<'static, ()> {
+    // The process's first GEMM or packed kernel decides the SIMD backend,
+    // and reading `FHDNN_NO_SIMD` allocates when it is set (CI sets it on
+    // every leg): decide before any window opens.
+    black_box(fhdnn::tensor::simd::backend());
     // A test that failed while holding the lock has poisoned nothing.
     ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -638,6 +638,29 @@ fn pad_mask(dim: usize) -> u64 {
     }
 }
 
+/// One detector answers for the GEMM micro-kernel and the packed
+/// kernels alike, and `FHDNN_NO_SIMD=1` turns both scalar. The backend is
+/// decided once per process, so the forced half runs in a child.
+#[test]
+fn tensor_and_hdc_report_one_backend_and_no_simd_forces_it_scalar() {
+    let backend = fhdnn::tensor::simd::active_backend();
+    assert_eq!(simd::active_backend(), backend);
+    let forced = std::env::var_os("FHDNN_NO_SIMD").is_some_and(|v| !v.is_empty() && v != "0");
+    if forced || cfg!(miri) {
+        assert_eq!(backend, "scalar");
+        return;
+    }
+    let this_test = "tensor_and_hdc_report_one_backend_and_no_simd_forces_it_scalar";
+    let child = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", this_test])
+        .env("FHDNN_NO_SIMD", "1")
+        .output()
+        .unwrap();
+    let report = String::from_utf8_lossy(&child.stdout);
+    assert!(child.status.success(), "{report}");
+    assert!(report.contains("test result: ok. 1 passed"), "{report}");
+}
+
 #[test]
 fn simd_kernels_match_scalar_mirrors_on_fuzzed_inputs() {
     let backend = simd::active_backend();
